@@ -34,7 +34,7 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = np.random.Generator(np.random.PCG64(args.seed))
-    print(f"{'width':>6}{'support':>9}{'pairs':>14}{'seconds':>10}")
+    print(f"{'width':>6}{'support':>9}{'logical':>14}{'computed':>14}{'seconds':>10}")
     for width in args.widths:
         for size in args.sizes:
             if size > 2 ** width:
@@ -44,7 +44,7 @@ def main() -> None:
             report = hammer(d)
             elapsed = time.perf_counter() - start
             pairs = report.pair_evaluations_step1 + report.pair_evaluations_step3
-            print(f"{width:>6}{len(d):>9}{pairs:>14}{elapsed:>10.3f}")
+            print(f"{width:>6}{len(d):>9}{pairs:>14}{report.pairs_computed:>14}{elapsed:>10.3f}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ ceil(n/2) - 1); everything further away is treated as structureless.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,11 +24,14 @@ from .core import (
     UsageError,
     _check_bitstring,
     pack_outcomes,
-    pair_block_size,
     pairwise_distances,
 )
 
 BIN_CONSERVATION_TOL = 1e-12
+
+# Row blocks of the pair pass hold about this many (row, column) pairs, so
+# that each block's temporaries (a few MB) stay in cache.
+PAIR_BLOCK_ELEMENTS = 1 << 18
 
 
 def chs_length(width: int) -> int:
@@ -138,22 +142,76 @@ def chs_for_outcome(d: Distribution, x: str) -> ChsVector:
     return ChsVector(width=d.width, values=values, pair_evaluations=len(d))
 
 
-def chs_from_arrays(codes: np.ndarray, probs: np.ndarray, width: int) -> np.ndarray:
-    """Aggregate CHS over all ordered pairs, on pre-packed outcome codes.
+@dataclass(frozen=True)
+class PairHistograms:
+    """Everything the reconstruction needs from the outcome pairs.
 
-    Shared with the reconstruction step; accumulation order is fixed by the
-    row order of ``codes``.
+    ``chs`` is the aggregate CHS over all ordered pairs. ``lighter[i, d]``
+    is the mass of the outcomes strictly lighter than outcome ``i`` at
+    distance d < n/2, with rows in the caller's outcome order.
+    ``pairs_computed`` is the number of distances actually evaluated
+    (the sum of rows x columns over the blocks).
+    """
+
+    chs: np.ndarray
+    lighter: np.ndarray
+    pairs_computed: int
+
+
+def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHistograms:
+    """One pass over the lower triangle of the pair matrix.
+
+    Outcomes are sorted ascending by probability (stably, so the result
+    does not depend on anything but the caller's order), which turns
+    "strictly lighter" into "before the row's tie group". Row i then only
+    needs the columns j < i: each unordered pair is computed once and adds
+    p_j + p_i to the CHS; the columns before ``gstart[i]`` also feed the
+    lighter-neighbor histogram; the tie group ``gstart[i] <= j < i`` feeds
+    only the CHS. Per-row bins are: d for a lighter neighbor, n_bins + 1 + d
+    for a tie, and n_bins for everything out of range, on or above the
+    diagonal.
     """
     n_bins = chs_length(width)
-    values = np.zeros(n_bins)
+    stride = 2 * n_bins + 1
     n = codes.shape[0]
-    block = pair_block_size(n)
-    for start in range(0, n, block):
-        dist = pairwise_distances(codes[start:start + block], codes)
-        keep = dist < n_bins
-        weights = np.broadcast_to(probs, dist.shape)[keep]
-        values += np.bincount(dist[keep].astype(np.int64), weights=weights, minlength=n_bins)[:n_bins]
-    return values
+    order = np.argsort(probs, kind="stable")
+    p = probs[order]
+    c = codes[order]
+    gstart = np.searchsorted(p, p, side="left")
+    chs = np.zeros(n_bins)
+    chs[0] = p.sum()  # the diagonal pairs
+    lighter = np.empty((n, n_bins))
+    pairs = 0
+    start = 0
+    while start < n:
+        # The largest stop with rows x columns = (stop - start) * stop
+        # within the budget.
+        root = math.isqrt(start * start + 4 * PAIR_BLOCK_ELEMENTS)
+        stop = min(n, max(start + 1, (start + root) // 2))
+        rows = stop - start
+        dist = pairwise_distances(c[start:stop], c[:stop])
+        pairs += dist.size
+        idx = np.minimum(dist, n_bins, dtype=np.intp)
+        # Columns before the block's first tie group are lighter for every
+        # row; only the rest needs the tie and triangle masks.
+        row = np.arange(start, stop)[:, None]
+        col = np.arange(gstart[start], stop)
+        rest = idx[:, gstart[start]:]
+        rest[(col >= gstart[row]) & (col < row) & (rest < n_bins)] += n_bins + 1
+        rest[col >= row] = n_bins
+        idx += np.arange(0, rows * stride, stride)[:, None]
+        flat = idx.ravel()
+        weights = np.broadcast_to(p[:stop], dist.shape).ravel()
+        mass = np.bincount(flat, weights=weights, minlength=rows * stride).reshape(rows, stride)
+        count = np.bincount(flat, minlength=rows * stride).reshape(rows, stride)
+        lighter[start:stop] = mass[:, :n_bins]
+        near_mass = mass[:, :n_bins] + mass[:, n_bins + 1:]
+        near_count = count[:, :n_bins] + count[:, n_bins + 1:]
+        chs += near_mass.sum(axis=0) + p[start:stop] @ near_count
+        start = stop
+    unsorted = np.empty_like(lighter)
+    unsorted[order] = lighter
+    return PairHistograms(chs=chs, lighter=unsorted, pairs_computed=pairs)
 
 
 def global_chs(d: Distribution) -> ChsVector:
@@ -167,7 +225,7 @@ def global_chs(d: Distribution) -> ChsVector:
     outcomes = d.outcomes()
     codes = pack_outcomes(outcomes, d.width)
     probs = np.array([d.entries[o] for o in outcomes])
-    values = chs_from_arrays(codes, probs, d.width)
+    values = pair_histograms(codes, probs, d.width).chs
     return ChsVector(width=d.width, values=values, pair_evaluations=len(d) ** 2)
 
 

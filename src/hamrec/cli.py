@@ -137,6 +137,7 @@ def _cmd_reconstruct(cfg: RunConfig, args) -> int:
                 "pair_evaluations_step1": rep.pair_evaluations_step1,
                 "pair_evaluations_step3": rep.pair_evaluations_step3,
                 "normalization_steps": rep.normalization_steps,
+                "pairs_computed": rep.pairs_computed,
                 "wall_time_s": wall,
             },
             cfg.report,

@@ -13,6 +13,8 @@ vectorized XOR + popcount, but the public surface stays string-based.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -67,7 +69,8 @@ class Distribution:
     """Sparse outcome histogram: counts or probabilities over n-bit strings.
 
     Invariants enforced at construction: every key is a width-n bitstring,
-    weights are positive (zero-weight entries are dropped), and for
+    weights are finite and positive (zero-weight entries are dropped; NaN
+    and infinite weights are rejected), and for
     kind="probabilities" the weights sum to 1 within ``PROB_SUM_TOL``.
     Entries are kept in ascending bitstring order so downstream
     accumulations and serialized output are deterministic.
@@ -86,6 +89,9 @@ class Distribution:
         for key in sorted(self.entries):
             _check_bitstring(key, width=self.width)
             weight = self.entries[key]
+            # Integers of any size are finite; math.isfinite cannot take big ones.
+            if not (isinstance(weight, numbers.Integral) or math.isfinite(weight)):
+                raise UsageError(f"non-finite weight {weight!r} for outcome {key!r}")
             if weight < 0:
                 raise UsageError(f"negative weight {weight!r} for outcome {key!r}")
             if weight > 0:
@@ -115,8 +121,10 @@ class Distribution:
 def from_counts(raw: Mapping[str, int]) -> Distribution:
     """Parse a ``{bitstring: count}`` map into a counts distribution.
 
-    Zero-count keys are dropped; ragged key lengths, non-binary characters,
-    and negative or non-integer counts raise :class:`ParseError` naming the
+    Counts may be any integer type, numpy integers included; they are
+    stored as Python ints. Zero-count keys are dropped; ragged key lengths,
+    non-binary characters, and negative or non-integer counts (bools, NaN
+    and infinities included) raise :class:`ParseError` naming the
     offending key.
     """
     width = None
@@ -128,12 +136,12 @@ def from_counts(raw: Mapping[str, int]) -> Distribution:
             width = len(key)
         elif len(key) != width:
             raise ParseError(f"key {key!r} has length {len(key)}, expected {width}")
-        if isinstance(value, bool) or not isinstance(value, int):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ParseError(f"count for key {key!r} is not an integer: {value!r}")
         if value < 0:
             raise ParseError(f"negative count for key {key!r}: {value}")
         if value > 0:
-            entries[key] = value
+            entries[key] = int(value)
     if width is None:
         raise ParseError("counts map is empty")
     if not entries:
@@ -157,7 +165,8 @@ def normalize(d: Distribution) -> Distribution:
 
 
 def as_probabilities(d: Distribution) -> Distribution:
-    """normalize() that also rejects empty inputs for probability kind."""
+    """Same as :func:`normalize`: probability inputs are returned as they
+    are, counts are divided by their total."""
     if d.kind == "probabilities":
         return d
     return normalize(d)
@@ -207,6 +216,8 @@ def distribution_from_json_obj(obj) -> Distribution:
 
     All-integer values are treated as counts; any float value switches the
     whole object to probabilities (which must sum to 1 within tolerance).
+    NaN and infinite values (which Python's JSON parser accepts) raise
+    :class:`ParseError`.
     """
     if not isinstance(obj, dict) or not obj:
         raise ParseError("expected a non-empty JSON object of bitstring keys")
@@ -223,10 +234,7 @@ def distribution_from_json_obj(obj) -> Distribution:
             raise ParseError(f"key {key!r} has length {len(key)}, expected {width}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParseError(f"weight for key {key!r} is not a number: {value!r}")
-        if value < 0:
-            raise ParseError(f"negative weight for key {key!r}: {value}")
-        if value > 0:
-            entries[key] = float(value)
+        entries[key] = float(value)
     try:
         return Distribution(width=width, entries=entries, kind="probabilities")
     except UsageError as exc:

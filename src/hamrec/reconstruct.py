@@ -14,8 +14,12 @@ cluster around correct answers while diffuse noise does not:
 
 Counts inputs are normalized before step 1; the additive score seed makes
 the procedure scale-sensitive, so a canonical scale is fixed up front.
-Scores accumulate in ascending outcome order, which keeps results
-bit-reproducible run to run.
+Steps 1 and 3 share one pass over the pairs
+(:func:`hamrec.analysis.pair_histograms`): outcomes are sorted stably by
+ascending probability, each unordered pair's distance is computed once in
+the lower triangle, and tie groups of equal probability are binned apart
+so they feed the CHS but not each other's scores. The sort and the block
+order are fixed, which keeps results bit-reproducible run to run.
 """
 
 from __future__ import annotations
@@ -24,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ChsVector, chs_from_arrays, chs_length
+from .analysis import ChsVector, chs_length, pair_histograms
 from .core import (
     Distribution,
     UsageError,
     as_probabilities,
     pack_outcomes,
-    pair_block_size,
     pairwise_distances,
 )
 
@@ -57,8 +60,11 @@ class WeightVector:
 class ReconstructionReport:
     """Reconstructed distribution plus the work accounting of each step.
 
-    Pair counters are N*N for the strength pass and the scoring pass, and
-    N for the final renormalization, with N the number of unique outcomes.
+    The step counters are the procedure's logical counts: N*N ordered pairs
+    for the strength step and for the scoring step, and N for the final
+    renormalization, with N the number of unique outcomes.
+    ``pairs_computed`` is the work actually done: the number of pair
+    distances the shared pass evaluated, between N(N+1)/2 and N*N.
     """
 
     output: Distribution
@@ -67,6 +73,7 @@ class ReconstructionReport:
     pair_evaluations_step1: int
     pair_evaluations_step3: int
     normalization_steps: int
+    pairs_computed: int
 
 
 def weights_from_chs(chs: ChsVector) -> WeightVector:
@@ -99,25 +106,6 @@ def neighborhood_score(d: Distribution, x: str, weights: WeightVector) -> float:
     return float(px + weights.values[dist[keep]] @ probs[keep])
 
 
-def _scores_from_arrays(codes, probs, weights, width):
-    """Step-3 scores for every outcome, blocked over rows."""
-    # Extend the weight table with zeros so any distance can index it; the
-    # strict probability filter already kills the diagonal self pairs.
-    extended = np.zeros(width + 1)
-    extended[: weights.shape[0]] = weights
-    n = codes.shape[0]
-    scores = np.empty(n)
-    block = pair_block_size(n)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        dist = pairwise_distances(codes[start:stop], codes).astype(np.int64)
-        contrib = extended[dist]
-        contrib *= probs[None, :]
-        contrib *= probs[start:stop, None] > probs[None, :]
-        scores[start:stop] = probs[start:stop] + contrib.sum(axis=1)
-    return scores
-
-
 def hammer(d_in: Distribution) -> ReconstructionReport:
     """Run the full three-step reconstruction on a distribution.
 
@@ -132,11 +120,11 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
     codes = pack_outcomes(outcomes, d.width)
     probs = np.array([d.entries[x] for x in outcomes])
 
-    chs_values = chs_from_arrays(codes, probs, d.width)
-    chs = ChsVector(width=d.width, values=chs_values, pair_evaluations=n * n)
+    pairs = pair_histograms(codes, probs, d.width)
+    chs = ChsVector(width=d.width, values=pairs.chs, pair_evaluations=n * n)
     weights = weights_from_chs(chs)
 
-    scores = _scores_from_arrays(codes, probs, weights.values, d.width)
+    scores = probs + pairs.lighter @ weights.values
     raw = scores * probs
     out_probs = raw / raw.sum()
     output = Distribution(
@@ -151,4 +139,5 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
         pair_evaluations_step1=n * n,
         pair_evaluations_step3=n * n,
         normalization_steps=n,
+        pairs_computed=pairs.pairs_computed,
     )
