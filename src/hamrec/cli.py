@@ -6,7 +6,9 @@ Conventions shared by every subcommand:
   (all-integer values) or probabilities (any float present, must sum to 1);
 * ``-`` as an input or output path means stdin/stdout, so stages pipe;
 * exit codes: 0 success, 1 usage error, 2 data/parse error;
-* inputs and flags are validated fully before any output file is written.
+* inputs and flags are validated fully before any output file is written,
+  and a command's output files are replaced together once all their
+  contents are computed, so a failed write leaves none of them changed.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from .core import (
     UsageError,
     as_probabilities,
     distribution_from_json_obj,
+    distribution_to_json,
     load_distribution,
     save_distribution,
+    write_files,
 )
 from .metrics import merit_report
 from .qaoa_cost import c_min, cost_ratio, expected_cost, load_graph, quality_curve
@@ -86,16 +90,21 @@ def _load_dist(path: str) -> Distribution:
     return load_distribution(path)
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Write each ``(text, path)`` output, None or "-" meaning stdout.
+
+    Every text is computed before this is called; the files are written
+    together through :func:`write_files`, then stdout.
+    """
+    lines = [(t if t.endswith("\n") else t + "\n", p) for t, p in outputs]
+    write_files({p: t for t, p in lines if p not in (None, "-")})
+    for text, path in lines:
+        if path in (None, "-"):
+            sys.stdout.write(text)
 
 
 def _emit_json(obj, path: str | None) -> None:
-    _emit(json.dumps(obj, indent=2), path)
+    _emit((json.dumps(obj, indent=2), path))
 
 
 def _correct_set(values: list[str]) -> set[str]:
@@ -123,12 +132,9 @@ def _cmd_reconstruct(cfg: RunConfig, args) -> int:
     rep = hammer(d)
     wall = time.perf_counter() - t0
     log.info("reconstructed in %.3fs", wall)
-    if cfg.output and cfg.output != "-":
-        save_distribution(rep.output, cfg.output)
-    else:
-        _emit_json({k: rep.output.entries[k] for k in rep.output.outcomes()}, "-")
+    outputs = [(distribution_to_json(rep.output), cfg.output)]
     if cfg.report:
-        _emit_json(
+        report = json.dumps(
             {
                 "width": d.width,
                 "n_outcomes": len(d),
@@ -140,8 +146,10 @@ def _cmd_reconstruct(cfg: RunConfig, args) -> int:
                 "pairs_computed": rep.pairs_computed,
                 "wall_time_s": wall,
             },
-            cfg.report,
+            indent=2,
         )
+        outputs.append((report, cfg.report))
+    _emit(*outputs)
     return 0
 
 
@@ -149,7 +157,7 @@ def _cmd_spectrum(cfg: RunConfig, args) -> int:
     d = as_probabilities(_load_dist(cfg.input))
     spec = build_spectrum(d, _correct_set(args.correct))
     if cfg.fmt == "csv":
-        _emit(spectrum_to_csv(spec), cfg.output)
+        _emit((spectrum_to_csv(spec), cfg.output))
     else:
         _emit_json(spectrum_to_json_obj(spec), cfg.output)
     return 0
@@ -201,7 +209,7 @@ def _cmd_qaoa(cfg: RunConfig, args) -> int:
     cr = cost_ratio(graph, d, c_min_override=cmin)
     curve = quality_curve(graph, d, c_min_override=cmin)
     if cfg.fmt == "csv":
-        _emit(curve.to_csv(), cfg.output)
+        _emit((curve.to_csv(), cfg.output))
     else:
         _emit_json(
             {"c_exp": c_exp, "c_min": cmin, "cr": cr, "curve": curve.to_json_obj()},
@@ -218,10 +226,10 @@ def _cmd_synth(cfg: RunConfig, args) -> int:
     )
     counts = sample_noisy(ideal_bv(args.key), model, args.trials)
     log.info("sampled %d trials onto %d outcomes", args.trials, len(counts))
-    if cfg.output and cfg.output != "-":
-        save_distribution(counts, cfg.output)
+    if cfg.output in (None, "-"):
+        _emit((distribution_to_json(counts), None))
     else:
-        _emit_json({k: counts.entries[k] for k in counts.outcomes()}, "-")
+        save_distribution(counts, cfg.output)
     return 0
 
 

@@ -12,9 +12,11 @@ vectorized XOR + popcount, but the public surface stays string-based.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
+import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -164,12 +166,8 @@ def normalize(d: Distribution) -> Distribution:
     return Distribution(width=d.width, entries=entries, kind="probabilities")
 
 
-def as_probabilities(d: Distribution) -> Distribution:
-    """Same as :func:`normalize`: probability inputs are returned as they
-    are, counts are divided by their total."""
-    if d.kind == "probabilities":
-        return d
-    return normalize(d)
+# The name callers use when they need probabilities, whatever the input kind.
+as_probabilities = normalize
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +199,6 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for w in range(a.shape[1]):
         dist += np.bitwise_count(a[:, w][:, None] ^ b[:, w][None, :])
     return dist
-
-
-def pair_block_size(n_outcomes: int, budget: int = 1 << 22) -> int:
-    """Row-block size keeping pairwise temporaries near ``budget`` elements."""
-    return max(1, min(n_outcomes, budget // max(n_outcomes, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +247,43 @@ def load_distribution(path) -> Distribution:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def save_distribution(d: Distribution, path) -> None:
-    """Write entries as a JSON object, preserving canonical key order."""
+def distribution_to_json(d: Distribution) -> str:
+    """Entries as JSON text in canonical key order, counts as integers."""
     payload = {k: (int(v) if d.kind == "counts" else v) for k, v in d.entries.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def write_files(texts: Mapping) -> None:
+    """Write each ``{path: text}`` item as UTF-8, replacing whole files.
+
+    Every text first goes to a new hidden file beside its target, and the
+    targets are replaced with ``os.replace`` only once all of those are
+    written. A failed write therefore leaves every target as it was, and
+    the temporary files it made are removed. A symlinked target is written
+    through its link; a replaced file gets default permissions.
+    """
+    staged = []
+    try:
+        for path, text in texts.items():
+            path = os.path.realpath(path)
+            head, tail = os.path.split(path)
+            tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, path))
+            with open(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+
+
+def save_distribution(d: Distribution, path) -> None:
+    """Write entries as a JSON object, preserving canonical key order.
+
+    The file is replaced in one step (see :func:`write_files`).
+    """
+    write_files({path: distribution_to_json(d)})

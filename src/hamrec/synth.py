@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +25,10 @@ BV10_TOP_ERROR = "1010100010"  # the key with bit 6 flipped
 # ulp below 0.2 so that 0.08 / _BV10_TOP_P == 0.4 without rounding; at 0.2
 # exactly the quotient lands one ulp under 0.4.
 _BV10_TOP_P = math.nextafter(0.2, 0.0)
+
+# Per-bit uniform doubles drawn at once by sample_noisy; bounds the size of
+# its per-chunk temporaries, not its output.
+SAMPLE_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,10 @@ def ideal_bv(key: str) -> Distribution:
     return Distribution(width=len(key), entries={key: 1.0}, kind="probabilities")
 
 
-def _xor(x: str, mask: str) -> str:
-    return "".join("1" if a != b else "0" for a, b in zip(x, mask))
+def _bit_rows(strings, width: int) -> np.ndarray:
+    """Bitstrings as a (len, width) boolean array, character i in column i."""
+    raw = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
+    return raw.reshape(-1, width) == ord("1")
 
 
 def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distribution:
@@ -73,7 +78,17 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     Deterministic for a fixed model seed. The generator is consumed in
     three blocks of uniform doubles — base-outcome draws, error-category
     draws, then a trials-by-width block of per-bit draws — so the stream
-    layout does not depend on which branches individual trials take.
+    layout does not depend on which branches individual trials take. The
+    per-bit block is drawn from the same stream in row chunks of about
+    ``SAMPLE_BLOCK_ELEMENTS`` doubles; consecutive draws yield the same
+    doubles as one large draw, so seeded outputs do not depend on the chunk
+    size and memory does not grow as trials x width doubles. Nothing is
+    drawn after the per-bit block, so it is skipped when ``per_bit_flip``
+    is 0.
+
+    Trials are built as bit rows (ideal outcome XOR mask, plus per-bit
+    flips on background trials only), packed to bytes and counted; only the
+    distinct outcomes become bitstrings.
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -90,26 +105,36 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     rng = np.random.Generator(np.random.PCG64(model.seed))
     u_base = rng.random(trials)
     u_category = rng.random(trials)
-    u_bits = rng.random((trials, width))
 
     base_idx = np.minimum(np.searchsorted(cum, u_base, side="right"), len(outcomes) - 1)
     mask_edges = np.cumsum([q for _, q in model.correlated_errors])
     category = np.searchsorted(mask_edges, u_category, side="right")
     n_masks = len(model.correlated_errors)
 
-    counts: Counter[str] = Counter()
-    for t in range(trials):
-        x = outcomes[base_idx[t]]
-        if category[t] < n_masks:
-            x = _xor(x, model.correlated_errors[category[t]][0])
-        elif model.per_bit_flip > 0.0:
-            flips = u_bits[t] < model.per_bit_flip
-            if flips.any():
-                x = "".join(
-                    ("1" if c == "0" else "0") if f else c for c, f in zip(x, flips)
-                )
-        counts[x] += 1
-    return Distribution(width=width, entries=dict(counts), kind="counts")
+    ideal_bits = _bit_rows(outcomes, width)
+    # Row n_masks is all zeros: background trials apply no mask.
+    mask_table = np.zeros((n_masks + 1, width), dtype=bool)
+    mask_table[:n_masks] = _bit_rows([m for m, _ in model.correlated_errors], width)
+
+    packed = np.empty((trials, (width + 7) // 8), dtype=np.uint8)
+    rows = max(1, SAMPLE_BLOCK_ELEMENTS // width)
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        cat = category[start:stop]
+        bits = ideal_bits[base_idx[start:stop]] ^ mask_table[cat]
+        if model.per_bit_flip > 0.0:
+            flips = rng.random((stop - start, width)) < model.per_bit_flip
+            bits ^= flips & (cat == n_masks)[:, None]
+        packed[start:stop] = np.packbits(bits, axis=1)
+
+    # Void rows compare bytewise, so unique() returns them in ascending
+    # bitstring order at any width.
+    rows_as_void = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    distinct, counts = np.unique(rows_as_void, return_counts=True)
+    distinct_bits = np.unpackbits(distinct.view(np.uint8).reshape(len(distinct), -1),
+                                  axis=1, count=width)
+    keys = (distinct_bits + ord("0")).view(f"S{width}").ravel().astype(str).tolist()
+    return Distribution(width=width, entries=dict(zip(keys, counts.tolist())), kind="counts")
 
 
 def _pick(items: list, k: int, rng: np.random.Generator) -> list:

@@ -1,10 +1,13 @@
+import errno
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hamrec.core
 from hamrec import hammer, load_distribution, merit_report
 from hamrec.cli import main
 
@@ -111,6 +114,35 @@ class TestReconstructCommand:
         )
         assert code == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_second_write_leaves_no_output(self, tmp_path, counts_file, capsys,
+                                                  monkeypatch, existing):
+        out = tmp_path / "dist.json"
+        report = tmp_path / "report.json"
+        if existing:
+            out.write_text("old output\n")
+            report.write_text("old report\n")
+        before = {p.name: p.read_text() for p in tmp_path.iterdir()}
+        writes = []
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if "w" in mode:
+                writes.append(file)
+                if len(writes) == 2:
+                    os.close(file)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(hamrec.core, "open", failing_open, raising=False)
+        code = main(
+            ["reconstruct", "--input", str(counts_file), "--output", str(out),
+             "--report", str(report)]
+        )
+        assert code == 1
+        assert len(writes) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
 
 
 class TestSpectrumCommand:

@@ -21,7 +21,6 @@ from hamrec import (
 from hamrec.core import (
     distribution_from_json_obj,
     pack_outcomes,
-    pair_block_size,
     pairwise_distances,
 )
 from oracles import hd
@@ -176,11 +175,6 @@ class TestPackedKernels:
         codes = pack_outcomes([a, b], 70)
         assert int(pairwise_distances(codes, codes)[0, 1]) == 6
 
-    def test_block_size_bounds(self):
-        assert pair_block_size(10) == 10
-        assert pair_block_size(1 << 22) == 1
-        assert pair_block_size(20000) == (1 << 22) // 20000
-
 
 class TestJsonInterchange:
     def test_all_ints_are_counts(self):
@@ -211,6 +205,16 @@ class TestJsonInterchange:
         assert again.entries == {"0101": 7, "1111": 1}
         raw = json.loads(path.read_text())
         assert all(isinstance(v, int) for v in raw.values())
+
+    def test_save_writes_through_symlink(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        save_distribution(from_counts({"01": 2}), link)
+        assert link.is_symlink()
+        assert json.loads(target.read_text()) == {"01": 2}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
 
     def test_load_reports_path_on_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"

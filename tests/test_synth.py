@@ -1,7 +1,12 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import hamrec.synth
 from hamrec import (
     BV10_KEY,
     BV10_TOP_ERROR,
@@ -117,6 +122,69 @@ class TestSampleNoisy:
         assert e_light < 2.0
         assert e_heavy > 4.0
         assert e_heavy > e_light
+
+
+def reference_sample(ideal, model, trials):
+    """The per-trial string loop that ``sample_noisy`` replaced."""
+    probs_dist = normalize(ideal)
+    outcomes = probs_dist.outcomes()
+    cum = np.cumsum([probs_dist.entries[x] for x in outcomes])
+    rng = np.random.Generator(np.random.PCG64(model.seed))
+    u_base = rng.random(trials)
+    u_category = rng.random(trials)
+    u_bits = rng.random((trials, ideal.width))
+    base_idx = np.minimum(np.searchsorted(cum, u_base, side="right"), len(outcomes) - 1)
+    mask_edges = np.cumsum([q for _, q in model.correlated_errors])
+    category = np.searchsorted(mask_edges, u_category, side="right")
+    n_masks = len(model.correlated_errors)
+    counts = Counter()
+    for t in range(trials):
+        x = outcomes[base_idx[t]]
+        if category[t] < n_masks:
+            mask = model.correlated_errors[category[t]][0]
+            x = "".join("1" if a != b else "0" for a, b in zip(x, mask))
+        elif model.per_bit_flip > 0.0:
+            flips = u_bits[t] < model.per_bit_flip
+            if flips.any():
+                x = "".join(("1" if c == "0" else "0") if f else c for c, f in zip(x, flips))
+        counts[x] += 1
+    return Distribution(width=ideal.width, entries=dict(counts), kind="counts")
+
+
+@st.composite
+def sampler_cases(draw):
+    """(ideal, model, trials, rows per chunk) over widths around byte and word edges."""
+    width = draw(st.sampled_from([1, 8, 9, 64, 65, 130]))
+    bitstring = st.integers(min_value=0, max_value=2 ** width - 1).map(
+        lambda c: format(c, f"0{width}b"))
+    keys = draw(st.lists(bitstring, min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=100),
+                            min_size=len(keys), max_size=len(keys)))
+    ideal = Distribution(width, dict(zip(keys, weights)), kind="counts")
+    if draw(st.booleans()):
+        ideal = normalize(ideal)
+    n_masks = draw(st.integers(min_value=0, max_value=3))
+    masks = draw(st.lists(bitstring, min_size=n_masks, max_size=n_masks))
+    qs = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3]), min_size=n_masks, max_size=n_masks))
+    model = NoiseModel(
+        per_bit_flip=draw(st.sampled_from([0.0, 0.02, 0.5])),
+        correlated_errors=tuple(zip(masks, qs)),
+        seed=draw(st.integers(min_value=0, max_value=2 ** 32)),
+    )
+    rows = draw(st.sampled_from([2, 5, 64]))
+    trials = draw(st.sampled_from([1, rows - 1, rows, rows + 1]))
+    return ideal, model, trials, rows
+
+
+@given(sampler_cases())
+def test_matches_per_trial_reference(case):
+    ideal, model, trials, rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hamrec.synth, "SAMPLE_BLOCK_ELEMENTS", rows * ideal.width)
+        out = sample_noisy(ideal, model, trials)
+    expected = reference_sample(ideal, model, trials)
+    assert list(out.entries.items()) == list(expected.entries.items())
+    assert all(type(v) is int for v in out.entries.values())
 
 
 class TestBv10Profile:
