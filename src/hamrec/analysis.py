@@ -23,8 +23,12 @@ from .core import (
     Distribution,
     UsageError,
     _check_bitstring,
+    checked_reference,
+    min_distances_to_set,
     pack_outcomes,
     pairwise_distances,
+    require_probabilities,
+    support_arrays,
 )
 
 BIN_CONSERVATION_TOL = 1e-12
@@ -44,6 +48,16 @@ def max_neighbor_distance(width: int) -> int:
     return chs_length(width) - 1
 
 
+def checked_bins(values, width: int, what: str) -> np.ndarray:
+    """``values`` as a float array of one non-negative entry per distance bin."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (chs_length(width),):
+        raise UsageError(f"{what} for width {width} must have {chs_length(width)} entries")
+    if np.any(values < 0):
+        raise UsageError(f"{what} entries must be non-negative")
+    return values
+
+
 @dataclass(frozen=True)
 class ChsVector:
     """Cumulative Hamming strength: mass at each distance 0..ceil(n/2)-1.
@@ -58,14 +72,7 @@ class ChsVector:
     pair_evaluations: int = 0
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (chs_length(self.width),):
-            raise UsageError(
-                f"CHS vector for width {self.width} must have {chs_length(self.width)} entries"
-            )
-        if np.any(values < 0):
-            raise UsageError("CHS entries must be non-negative")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", checked_bins(self.values, self.width, "CHS vector"))
 
 
 @dataclass(frozen=True)
@@ -84,37 +91,14 @@ class HammingSpectrum:
         return float(sum(p for bucket in self.bins for _, p in bucket))
 
 
-def _require_probabilities(d: Distribution, op: str) -> Distribution:
-    if d.kind != "probabilities":
-        raise UsageError(f"{op} requires a normalized distribution; call normalize() first")
-    return d
-
-
-def _checked_reference(reference, width: int) -> tuple[str, ...]:
-    refs = sorted(set(reference))
-    if not refs:
-        raise UsageError("reference set must be non-empty")
-    for r in refs:
-        _check_bitstring(r, width=width)
-    return tuple(refs)
-
-
-def _distances_to_reference(outcomes: list[str], refs: tuple[str, ...], width: int) -> np.ndarray:
-    codes = pack_outcomes(outcomes, width)
-    ref_codes = pack_outcomes(refs, width)
-    return pairwise_distances(codes, ref_codes).min(axis=1).astype(np.int64)
-
-
 def build_spectrum(d: Distribution, reference) -> HammingSpectrum:
     """Bucket every outcome of ``d`` by its minimum distance to ``reference``."""
-    _require_probabilities(d, "build_spectrum")
-    refs = _checked_reference(reference, d.width)
+    require_probabilities(d, "build_spectrum")
+    refs = checked_reference(reference, d.width)
     outcomes = d.outcomes()
     buckets: list[list[tuple[str, float]]] = [[] for _ in range(d.width + 1)]
-    if outcomes:
-        dist = _distances_to_reference(outcomes, refs, d.width)
-        for x, k in zip(outcomes, dist):
-            buckets[k].append((x, d.entries[x]))
+    for x, k in zip(outcomes, min_distances_to_set(outcomes, refs, d.width)):
+        buckets[k].append((x, d.entries[x]))
     bins = tuple(
         tuple(sorted(bucket, key=lambda item: (-item[1], item[0])))
         for bucket in buckets
@@ -127,18 +111,13 @@ def chs_for_outcome(d: Distribution, x: str) -> ChsVector:
 
     The self term (k = 0) is included when ``x`` carries probability.
     """
-    _require_probabilities(d, "chs_for_outcome")
+    require_probabilities(d, "chs_for_outcome")
     _check_bitstring(x, width=d.width)
     n_bins = chs_length(d.width)
-    values = np.zeros(n_bins)
-    outcomes = d.outcomes()
-    if outcomes:
-        dist = pairwise_distances(
-            pack_outcomes([x], d.width), pack_outcomes(outcomes, d.width)
-        )[0].astype(np.int64)
-        probs = np.array([d.entries[o] for o in outcomes])
-        keep = dist < n_bins
-        values += np.bincount(dist[keep], weights=probs[keep], minlength=n_bins)[:n_bins]
+    outcomes, probs = support_arrays(d)
+    dist = min_distances_to_set(outcomes, [x], d.width)
+    keep = dist < n_bins
+    values = np.bincount(dist[keep], weights=probs[keep], minlength=n_bins)
     return ChsVector(width=d.width, values=values, pair_evaluations=len(d))
 
 
@@ -221,11 +200,9 @@ def global_chs(d: Distribution) -> ChsVector:
     so values[0] is the total probability and the reported pair counter is
     exactly N*N.
     """
-    _require_probabilities(d, "global_chs")
-    outcomes = d.outcomes()
-    codes = pack_outcomes(outcomes, d.width)
-    probs = np.array([d.entries[o] for o in outcomes])
-    values = pair_histograms(codes, probs, d.width).chs
+    require_probabilities(d, "global_chs")
+    outcomes, probs = support_arrays(d)
+    values = pair_histograms(pack_outcomes(outcomes, d.width), probs, d.width).chs
     return ChsVector(width=d.width, values=values, pair_evaluations=len(d) ** 2)
 
 
@@ -238,18 +215,16 @@ def ehd(d: Distribution, reference, mode: str = "normalized") -> float:
     """
     if mode not in ("normalized", "raw"):
         raise UsageError(f"ehd mode must be normalized or raw, got {mode!r}")
-    _require_probabilities(d, "ehd")
-    refs = _checked_reference(reference, d.width)
-    ref_set = set(refs)
-    wrong = [x for x in d.outcomes() if x not in ref_set]
-    if not wrong:
+    require_probabilities(d, "ehd")
+    outcomes, probs = support_arrays(d)
+    dist = min_distances_to_set(outcomes, checked_reference(reference, d.width), d.width)
+    wrong = dist > 0
+    if not wrong.any():
         return 0.0
-    dist = _distances_to_reference(wrong, refs, d.width)
-    probs = np.array([d.entries[x] for x in wrong])
-    raw = float(dist @ probs)
+    raw = float(dist[wrong] @ probs[wrong])
     if mode == "raw":
         return raw
-    wrong_mass = float(probs.sum())
+    wrong_mass = float(probs[wrong].sum())
     if wrong_mass <= 0.0:
         return 0.0
     return raw / wrong_mass

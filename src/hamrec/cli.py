@@ -7,8 +7,9 @@ Conventions shared by every subcommand:
 * ``-`` as an input or output path means stdin/stdout, so stages pipe;
 * exit codes: 0 success, 1 usage error, 2 data/parse error;
 * inputs and flags are validated fully before any output file is written,
-  and a command's output files are replaced together once all their
-  contents are computed, so a failed write leaves none of them changed.
+  a command's output paths must name different files, and its output
+  files are replaced together once all their contents are computed, so a
+  failed write leaves none of them changed.
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__
 from .analysis import build_spectrum, ehd, spectrum_to_csv, spectrum_to_json_obj
 from .core import (
-    Distribution,
     ParseError,
     UsageError,
     as_probabilities,
-    distribution_from_json_obj,
     distribution_to_json,
     load_distribution,
     save_distribution,
@@ -42,19 +40,6 @@ from .synth import NoiseModel, ideal_bv, sample_noisy
 log = logging.getLogger("hamrec")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common options; per-subcommand extras stay on the namespace."""
-
-    subcommand: str
-    input: str | None = None
-    output: str | None = None
-    report: str | None = None
-    fmt: str = "json"
-    seed: int | None = None
-    verbosity: int = 0
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; the contract here reserves 2 for
     data errors, so usage failures are remapped to exit code 1."""
@@ -64,30 +49,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _ensure_writable(path: str | None) -> None:
-    if path is None or path == "-":
-        return
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise UsageError(f"output directory does not exist: {parent}")
-    if os.path.exists(path):
-        if not os.path.isfile(path) or not os.access(path, os.W_OK):
-            raise UsageError(f"output path not writable: {path}")
-    elif not os.access(parent, os.W_OK):
-        raise UsageError(f"output directory not writable: {parent}")
-
-
-def _load_dist(path: str) -> Distribution:
-    if path == "-":
-        try:
-            obj = json.load(sys.stdin)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"stdin: invalid JSON: {exc}") from exc
-        try:
-            return distribution_from_json_obj(obj)
-        except ParseError as exc:
-            raise ParseError(f"stdin: {exc}") from exc
-    return load_distribution(path)
+def _ensure_writable(*paths: str | None) -> None:
+    """Each output file of one command can be written and is a different file."""
+    files = [p for p in paths if p not in (None, "-")]
+    if len({os.path.realpath(p) for p in files}) < len(files):
+        raise UsageError(f"output paths name the same file: {', '.join(files)}")
+    for path in files:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise UsageError(f"output directory does not exist: {parent}")
+        if os.path.exists(path):
+            if not os.path.isfile(path) or not os.access(path, os.W_OK):
+                raise UsageError(f"output path not writable: {path}")
+        elif not os.access(parent, os.W_OK):
+            raise UsageError(f"output directory not writable: {parent}")
 
 
 def _emit(*outputs: tuple[str, str | None]) -> None:
@@ -108,10 +83,7 @@ def _emit_json(obj, path: str | None) -> None:
 
 
 def _correct_set(values: list[str]) -> set[str]:
-    keys = {s for item in values for s in item.split(",") if s}
-    if not keys:
-        raise UsageError("no correct outcomes given")
-    return keys
+    return {s for item in values for s in item.split(",") if s}
 
 
 def _parse_corr(spec: str) -> tuple[str, float]:
@@ -125,15 +97,15 @@ def _parse_corr(spec: str) -> tuple[str, float]:
     return mask, q
 
 
-def _cmd_reconstruct(cfg: RunConfig, args) -> int:
-    d = _load_dist(cfg.input)
+def _cmd_reconstruct(args) -> int:
+    d = load_distribution(args.input)
     log.info("loaded %d outcomes (width %d)", len(d), d.width)
     t0 = time.perf_counter()
     rep = hammer(d)
     wall = time.perf_counter() - t0
     log.info("reconstructed in %.3fs", wall)
-    outputs = [(distribution_to_json(rep.output), cfg.output)]
-    if cfg.report:
+    outputs = [(distribution_to_json(rep.output), args.output)]
+    if args.report:
         report = json.dumps(
             {
                 "width": d.width,
@@ -148,25 +120,25 @@ def _cmd_reconstruct(cfg: RunConfig, args) -> int:
             },
             indent=2,
         )
-        outputs.append((report, cfg.report))
+        outputs.append((report, args.report))
     _emit(*outputs)
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig, args) -> int:
-    d = as_probabilities(_load_dist(cfg.input))
+def _cmd_spectrum(args) -> int:
+    d = as_probabilities(load_distribution(args.input))
     spec = build_spectrum(d, _correct_set(args.correct))
-    if cfg.fmt == "csv":
-        _emit((spectrum_to_csv(spec), cfg.output))
+    if args.csv:
+        _emit((spectrum_to_csv(spec), args.output))
     else:
-        _emit_json(spectrum_to_json_obj(spec), cfg.output)
+        _emit_json(spectrum_to_json_obj(spec), args.output)
     return 0
 
 
-def _cmd_ehd(cfg: RunConfig, args) -> int:
-    d = as_probabilities(_load_dist(cfg.input))
+def _cmd_ehd(args) -> int:
+    d = as_probabilities(load_distribution(args.input))
     value = ehd(d, _correct_set(args.correct), mode=args.mode)
-    _emit_json({"ehd": value, "mode": args.mode, "width": d.width}, cfg.output)
+    _emit_json({"ehd": value, "mode": args.mode, "width": d.width}, args.output)
     return 0
 
 
@@ -176,14 +148,14 @@ def _ratio(num: float, den: float) -> float | None:
     return num / den
 
 
-def _cmd_metrics(cfg: RunConfig, args) -> int:
+def _cmd_metrics(args) -> int:
     correct = _correct_set(args.correct)
-    reference = as_probabilities(_load_dist(args.reference)) if args.reference else None
+    reference = as_probabilities(load_distribution(args.reference)) if args.reference else None
     if args.before or args.after:
-        if not (args.before and args.after) or cfg.input:
+        if not (args.before and args.after) or args.input:
             raise UsageError("use either --input or both --before and --after")
-        before = merit_report(_load_dist(args.before), correct, reference)
-        after = merit_report(_load_dist(args.after), correct, reference)
+        before = merit_report(load_distribution(args.before), correct, reference)
+        after = merit_report(load_distribution(args.after), correct, reference)
         obj = {
             "before": before.to_json_obj(),
             "after": after.to_json_obj(),
@@ -192,44 +164,44 @@ def _cmd_metrics(cfg: RunConfig, args) -> int:
         }
         if reference is not None:
             obj["tvd_ratio"] = _ratio(before.tvd, after.tvd)
-        _emit_json(obj, cfg.output)
+        _emit_json(obj, args.output)
         return 0
-    if not cfg.input:
+    if not args.input:
         raise UsageError("metrics needs --input, or --before and --after")
-    report = merit_report(_load_dist(cfg.input), correct, reference)
-    _emit_json(report.to_json_obj(), cfg.output)
+    report = merit_report(load_distribution(args.input), correct, reference)
+    _emit_json(report.to_json_obj(), args.output)
     return 0
 
 
-def _cmd_qaoa(cfg: RunConfig, args) -> int:
+def _cmd_qaoa(args) -> int:
     graph = load_graph(args.graph)
-    d = as_probabilities(_load_dist(args.counts))
+    d = as_probabilities(load_distribution(args.counts))
     cmin = float(args.cmin) if args.cmin is not None else c_min(graph)
     c_exp = expected_cost(graph, d)
     cr = cost_ratio(graph, d, c_min_override=cmin)
     curve = quality_curve(graph, d, c_min_override=cmin)
-    if cfg.fmt == "csv":
-        _emit((curve.to_csv(), cfg.output))
+    if args.csv:
+        _emit((curve.to_csv(), args.output))
     else:
         _emit_json(
             {"c_exp": c_exp, "c_min": cmin, "cr": cr, "curve": curve.to_json_obj()},
-            cfg.output,
+            args.output,
         )
     return 0
 
 
-def _cmd_synth(cfg: RunConfig, args) -> int:
+def _cmd_synth(args) -> int:
     model = NoiseModel(
         per_bit_flip=args.flip,
         correlated_errors=tuple(_parse_corr(s) for s in args.corr or ()),
-        seed=cfg.seed,
+        seed=args.seed,
     )
     counts = sample_noisy(ideal_bv(args.key), model, args.trials)
     log.info("sampled %d trials onto %d outcomes", args.trials, len(counts))
-    if cfg.output in (None, "-"):
+    if args.output in (None, "-"):
         _emit((distribution_to_json(counts), None))
     else:
-        save_distribution(counts, cfg.output)
+        save_distribution(counts, args.output)
     return 0
 
 
@@ -295,21 +267,6 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        input=getattr(args, "input", None),
-        output=args.output,
-        report=getattr(args, "report", None),
-        fmt="csv" if getattr(args, "csv", False) else "json",
-        seed=getattr(args, "seed", None),
-        verbosity=args.verbose,
-    )
-    _ensure_writable(cfg.output)
-    _ensure_writable(cfg.report)
-    return cfg
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -319,13 +276,13 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print("hamrec: error: a subcommand is required", file=sys.stderr)
             return 1
-        cfg = _build_config(args)
+        _ensure_writable(args.output, getattr(args, "report", None))
         logging.basicConfig(
             stream=sys.stderr,
-            level=max(logging.WARNING - 10 * cfg.verbosity, logging.DEBUG),
+            level=max(logging.WARNING - 10 * args.verbose, logging.DEBUG),
             format="%(levelname)s %(message)s",
         )
-        return _HANDLERS[cfg.subcommand](cfg, args)
+        return _HANDLERS[args.subcommand](args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1

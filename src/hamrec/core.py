@@ -17,6 +17,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -54,27 +55,20 @@ def hamming_distance(a: str, b: str) -> int:
 
 def min_distance_to_set(x: str, reference: Iterable[str]) -> int:
     """Shortest Hamming distance from ``x`` to any outcome in ``reference``."""
-    best = None
-    for r in reference:
-        d = hamming_distance(x, r)
-        if best is None or d < best:
-            best = d
-        if best == 0:
-            break
-    if best is None:
-        raise UsageError("reference set must be non-empty")
-    return best
+    _check_bitstring(x)
+    return int(min_distances_to_set([x], checked_reference(reference, len(x)), len(x))[0])
 
 
 @dataclass(frozen=True)
 class Distribution:
     """Sparse outcome histogram: counts or probabilities over n-bit strings.
 
-    Invariants enforced at construction: every key is a width-n bitstring,
-    weights are finite and positive (zero-weight entries are dropped; NaN
-    and infinite weights are rejected), and for
-    kind="probabilities" the weights sum to 1 within ``PROB_SUM_TOL``.
-    Entries are kept in ascending bitstring order so downstream
+    The one home of key and weight validation, parsers included. Every key
+    is a width-n bitstring; every weight is a finite, non-negative real (not
+    ``bool``), an integer for kind="counts" (stored as int) and a float for
+    kind="probabilities", whose weights sum to 1 within ``PROB_SUM_TOL``.
+    Anything else raises :class:`UsageError`. Zero-weight entries are
+    dropped, and entries are kept in ascending bitstring order so
     accumulations and serialized output are deterministic.
     """
 
@@ -88,17 +82,27 @@ class Distribution:
         if self.kind not in ("counts", "probabilities"):
             raise UsageError(f"kind must be counts or probabilities, got {self.kind!r}")
         cleaned = {}
-        for key in sorted(self.entries):
+        for key, weight in self.entries.items():
             _check_bitstring(key, width=self.width)
-            weight = self.entries[key]
-            # Integers of any size are finite; math.isfinite cannot take big ones.
-            if not (isinstance(weight, numbers.Integral) or math.isfinite(weight)):
-                raise UsageError(f"non-finite weight {weight!r} for outcome {key!r}")
+            # Builtin types first: an ABC check alone costs about 0.5 us per key.
+            if isinstance(weight, bool) or not isinstance(weight, (float, int, numbers.Real)):
+                raise UsageError(f"weight for outcome {key!r} is not a number: {weight!r}")
+            if self.kind == "counts":
+                if not isinstance(weight, (int, numbers.Integral)):
+                    raise UsageError(f"count for outcome {key!r} is not an integer: {weight!r}")
+                weight = int(weight)
+            else:
+                try:
+                    weight = float(weight)
+                except OverflowError:  # an integer beyond float range
+                    weight = math.inf
+                if not math.isfinite(weight):
+                    raise UsageError(f"non-finite weight {weight!r} for outcome {key!r}")
             if weight < 0:
                 raise UsageError(f"negative weight {weight!r} for outcome {key!r}")
             if weight > 0:
                 cleaned[key] = weight
-        object.__setattr__(self, "entries", cleaned)
+        object.__setattr__(self, "entries", {k: cleaned[k] for k in sorted(cleaned)})
         if self.kind == "probabilities" and cleaned:
             total = self.total()
             if abs(total - 1.0) > PROB_SUM_TOL:
@@ -109,9 +113,8 @@ class Distribution:
 
     def total(self):
         """Sum of all weights (exact integer arithmetic for counts)."""
-        if self.kind == "counts":
-            return sum(int(v) for v in self.entries.values())
-        return float(sum(self.entries.values()))
+        total = sum(self.entries.values())
+        return total if self.kind == "counts" else float(total)
 
     def outcomes(self) -> list[str]:
         return list(self.entries)
@@ -120,35 +123,30 @@ class Distribution:
         return self.entries.get(outcome, 0.0)
 
 
+def _parsed(raw, kind: str) -> Distribution:
+    """A non-empty ``{bitstring: weight}`` map as a distribution, or ParseError."""
+    if not isinstance(raw, Mapping) or not raw:
+        raise ParseError("expected a non-empty map of bitstrings to weights")
+    first = next(iter(raw))
+    # A first key that is not a bitstring still reaches the validator, which names it.
+    width = (isinstance(first, str) and len(first)) or 1
+    try:
+        d = Distribution(width=width, entries=raw, kind=kind)
+    except UsageError as exc:
+        raise ParseError(str(exc)) from None
+    if not d.entries:
+        raise ParseError("no outcome has a positive weight")
+    return d
+
+
 def from_counts(raw: Mapping[str, int]) -> Distribution:
     """Parse a ``{bitstring: count}`` map into a counts distribution.
 
-    Counts may be any integer type, numpy integers included; they are
-    stored as Python ints. Zero-count keys are dropped; ragged key lengths,
-    non-binary characters, and negative or non-integer counts (bools, NaN
-    and infinities included) raise :class:`ParseError` naming the
-    offending key.
+    Counts may be any integer type, numpy integers included. Zero-count keys
+    are dropped; an empty or all-zero map, and anything :class:`Distribution`
+    rejects, raise :class:`ParseError` naming the offending key.
     """
-    width = None
-    entries: dict[str, float] = {}
-    for key, value in raw.items():
-        if not isinstance(key, str) or not key or not _BITS.issuperset(key):
-            raise ParseError(f"key {key!r} is not a bitstring")
-        if width is None:
-            width = len(key)
-        elif len(key) != width:
-            raise ParseError(f"key {key!r} has length {len(key)}, expected {width}")
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ParseError(f"count for key {key!r} is not an integer: {value!r}")
-        if value < 0:
-            raise ParseError(f"negative count for key {key!r}: {value}")
-        if value > 0:
-            entries[key] = int(value)
-    if width is None:
-        raise ParseError("counts map is empty")
-    if not entries:
-        raise ParseError("counts map has no positive counts")
-    return Distribution(width=width, entries=entries, kind="counts")
+    return _parsed(raw, "counts")
 
 
 def normalize(d: Distribution) -> Distribution:
@@ -170,25 +168,49 @@ def normalize(d: Distribution) -> Distribution:
 as_probabilities = normalize
 
 
+def require_probabilities(d: Distribution, op: str) -> None:
+    """Raise unless ``d`` already holds probabilities; ``op`` names the caller."""
+    if d.kind != "probabilities":
+        raise UsageError(f"{op} requires a normalized distribution; call normalize() first")
+
+
+def checked_reference(reference, width: int) -> tuple[str, ...]:
+    """A non-empty set of width-n bitstrings, deduplicated and sorted."""
+    refs = set(reference)
+    if not refs:
+        raise UsageError("reference set must be non-empty")
+    for r in refs:
+        _check_bitstring(r, width=width)
+    return tuple(sorted(refs))
+
+
+def support_arrays(d: Distribution) -> tuple[list[str], np.ndarray]:
+    """The outcomes of ``d`` in canonical order and their weights as floats."""
+    return d.outcomes(), np.fromiter(d.entries.values(), dtype=float, count=len(d))
+
+
 # ---------------------------------------------------------------------------
 # Packed representation used by the pairwise kernels.
+
+def bit_matrix(outcomes: Iterable[str], width: int) -> np.ndarray:
+    """Bitstrings as an (N, width) boolean array, character i in column i."""
+    strings = list(outcomes)
+    raw = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
+    return raw.reshape(len(strings), width) == ord("1")
+
 
 def pack_outcomes(outcomes: Iterable[str], width: int) -> np.ndarray:
     """Pack bitstrings into an (N, n_words) uint64 array.
 
-    Character i of the string maps to a fixed bit of one 64-bit word; all
-    bits beyond the declared width stay zero. XOR + popcount on the packed
-    rows reproduces string Hamming distance.
+    Character i is bit ``63 - i % 64`` of word ``i // 64``; all bits beyond
+    the declared width stay zero. XOR + popcount on the packed rows
+    reproduces string Hamming distance.
     """
     n_words = (width + 63) // 64
-    strings = list(outcomes)
-    packed = np.zeros((len(strings), n_words), dtype=np.uint64)
-    for i, s in enumerate(strings):
-        for w in range(n_words):
-            chunk = s[w * 64:(w + 1) * 64]
-            if chunk:
-                packed[i, w] = int(chunk, 2)
-    return packed
+    bits = bit_matrix(outcomes, width)
+    packed = np.zeros((len(bits), 8 * n_words), dtype=np.uint8)
+    packed[:, :(width + 7) // 8] = np.packbits(bits, axis=1)
+    return packed.view(">u8").astype(np.uint64)
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -201,50 +223,58 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dist
 
 
+def min_distances_to_set(outcomes: list[str], reference, width: int) -> np.ndarray:
+    """Shortest Hamming distance from each outcome to any of ``reference``.
+
+    With a single reference outcome x this is the distance row from x to
+    every outcome, as the per-outcome diagnostics need it.
+    """
+    codes = pack_outcomes(outcomes, width)
+    ref_codes = pack_outcomes(reference, width)
+    return pairwise_distances(codes, ref_codes).min(axis=1).astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange: {"<bitstring>": weight, ...} in UTF-8.
 
 def distribution_from_json_obj(obj) -> Distribution:
     """Build a distribution from a decoded counts/probability JSON object.
 
-    All-integer values are treated as counts; any float value switches the
+    All-integer values are treated as counts; any other value switches the
     whole object to probabilities (which must sum to 1 within tolerance).
-    NaN and infinite values (which Python's JSON parser accepts) raise
+    An empty or all-zero object, and anything :class:`Distribution` rejects
+    (NaN and infinities too, which Python's JSON parser accepts), raise
     :class:`ParseError`.
     """
-    if not isinstance(obj, dict) or not obj:
-        raise ParseError("expected a non-empty JSON object of bitstring keys")
-    if all(isinstance(v, int) and not isinstance(v, bool) for v in obj.values()):
-        return from_counts(obj)
-    width = None
-    entries: dict[str, float] = {}
-    for key, value in obj.items():
-        if not isinstance(key, str) or not key or not _BITS.issuperset(key):
-            raise ParseError(f"key {key!r} is not a bitstring")
-        if width is None:
-            width = len(key)
-        elif len(key) != width:
-            raise ParseError(f"key {key!r} has length {len(key)}, expected {width}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"weight for key {key!r} is not a number: {value!r}")
-        entries[key] = float(value)
+    counts = isinstance(obj, dict) and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in obj.values()
+    )
+    return _parsed(obj, "counts" if counts else "probabilities")
+
+
+def read_json(path, parse):
+    """``parse`` of the JSON file at ``path``, ``"-"`` meaning standard input.
+
+    Invalid JSON and the errors of ``parse`` raise :class:`ParseError`
+    prefixed with the path, or with ``stdin``.
+    """
+    name = "stdin" if path == "-" else path
     try:
-        return Distribution(width=width, entries=entries, kind="probabilities")
-    except UsageError as exc:
-        raise ParseError(str(exc)) from None
+        if path == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(path, encoding="utf-8") as fh:
+                obj = json.load(fh)
+        return parse(obj)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{name}: invalid JSON: {exc}") from None
+    except ParseError as exc:
+        raise ParseError(f"{name}: {exc}") from None
 
 
 def load_distribution(path) -> Distribution:
-    """Read a counts or probability JSON file (kind auto-detected)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
-    try:
-        return distribution_from_json_obj(obj)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    """Read a counts or probability JSON file (kind auto-detected); "-" is stdin."""
+    return read_json(path, distribution_from_json_obj)
 
 
 def distribution_to_json(d: Distribution) -> str:

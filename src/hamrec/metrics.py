@@ -12,7 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Distribution, UsageError, _check_bitstring, as_probabilities
+from .core import (
+    Distribution,
+    UsageError,
+    as_probabilities,
+    checked_reference,
+    require_probabilities,
+)
 
 
 @dataclass(frozen=True)
@@ -32,18 +38,9 @@ class MeritReport:
         return obj
 
 
-def _checked_correct(correct, width: int) -> set[str]:
-    keys = set(correct)
-    if not keys:
-        raise UsageError("correct set must be non-empty")
-    for k in keys:
-        _check_bitstring(k, width=width)
-    return keys
-
-
 def pst(d: Distribution, correct) -> float:
     """Probability of a successful trial: correct mass after normalization."""
-    keys = _checked_correct(correct, d.width)
+    keys = checked_reference(correct, d.width)
     d = as_probabilities(d)
     return float(sum(d.entries[k] for k in keys if k in d.entries))
 
@@ -57,7 +54,7 @@ def ist(d: Distribution, correct) -> float:
     """
     if len(d) == 0:
         raise UsageError("ist of an empty distribution is undefined")
-    keys = _checked_correct(correct, d.width)
+    keys = set(checked_reference(correct, d.width))
     d = as_probabilities(d)
     best_correct = max((p for x, p in d.entries.items() if x in keys), default=0.0)
     best_incorrect = max((p for x, p in d.entries.items() if x not in keys), default=0.0)
@@ -70,8 +67,8 @@ def tvd(p: Distribution, q: Distribution) -> float:
     """Total variational distance over the union of supports."""
     if p.width != q.width:
         raise UsageError(f"width mismatch: {p.width} vs {q.width}")
-    if p.kind != "probabilities" or q.kind != "probabilities":
-        raise UsageError("tvd requires normalized distributions; call normalize() first")
+    require_probabilities(p, "tvd")
+    require_probabilities(q, "tvd")
     keys = set(p.entries) | set(q.entries)
     # fsum is correctly rounded, so the result is independent of key order
     # and tvd(p, q) == tvd(q, p) exactly.

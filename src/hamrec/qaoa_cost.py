@@ -9,12 +9,21 @@ only fixes bookkeeping.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Distribution, ParseError, UsageError, as_probabilities
+from .core import (
+    Distribution,
+    ParseError,
+    UsageError,
+    _check_bitstring,
+    as_probabilities,
+    bit_matrix,
+    read_json,
+    require_probabilities,
+    support_arrays,
+)
 
 # Exhaustive search above this many vertices is not attempted; callers must
 # supply a known optimum instead (the CLI exposes --cmin for that).
@@ -75,9 +84,7 @@ class QualityCurve:
 
 def _spin_matrix(outcomes, width: int) -> np.ndarray:
     """(N, width) array of +-1 spins; bit '0' maps to +1."""
-    flat = "".join(outcomes)
-    bits = np.frombuffer(flat.encode("ascii"), dtype=np.uint8).reshape(len(outcomes), width)
-    return 1 - 2 * (bits - ord("0")).astype(np.int64)
+    return 1 - 2 * bit_matrix(outcomes, width).astype(np.int64)
 
 
 def _costs(g: CutGraph, spins: np.ndarray) -> np.ndarray:
@@ -89,8 +96,7 @@ def _costs(g: CutGraph, spins: np.ndarray) -> np.ndarray:
 
 def cut_cost(g: CutGraph, x: str) -> float:
     """Cost of one assignment: sum of w * s_u * s_v over the edges."""
-    if len(x) != g.n_vertices:
-        raise UsageError(f"outcome width {len(x)} does not match {g.n_vertices} vertices")
+    _check_bitstring(x, width=g.n_vertices)
     spins = _spin_matrix([x], g.n_vertices)
     return float(_costs(g, spins)[0])
 
@@ -124,14 +130,12 @@ def c_min(g: CutGraph, limit: int = BRUTE_FORCE_LIMIT) -> float:
 
 def expected_cost(g: CutGraph, d: Distribution) -> float:
     """Probability-weighted average cut cost, Σ_x p(x)·C(x)."""
-    if d.kind != "probabilities":
-        raise UsageError("expected_cost requires a normalized distribution; call normalize() first")
+    require_probabilities(d, "expected_cost")
     if d.width != g.n_vertices:
         raise UsageError(f"width mismatch: distribution {d.width}, graph {g.n_vertices}")
     if len(d) == 0:
         raise UsageError("expected_cost of an empty distribution is undefined")
-    outcomes = d.outcomes()
-    probs = np.array([d.entries[x] for x in outcomes])
+    outcomes, probs = support_arrays(d)
     return float(_costs(g, _spin_matrix(outcomes, d.width)) @ probs)
 
 
@@ -202,12 +206,5 @@ def graph_to_json_obj(g: CutGraph) -> dict:
 
 
 def load_graph(path) -> CutGraph:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
-    try:
-        return graph_from_json_obj(obj)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    """Read a graph JSON file; ``"-"`` means standard input."""
+    return read_json(path, graph_from_json_obj)

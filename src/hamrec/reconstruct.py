@@ -28,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ChsVector, chs_length, pair_histograms
+from .analysis import ChsVector, checked_bins, chs_length, pair_histograms
 from .core import (
     Distribution,
     UsageError,
     as_probabilities,
+    min_distances_to_set,
     pack_outcomes,
-    pairwise_distances,
+    support_arrays,
 )
 
 
@@ -46,14 +47,7 @@ class WeightVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (chs_length(self.width),):
-            raise UsageError(
-                f"weight vector for width {self.width} must have {chs_length(self.width)} entries"
-            )
-        if np.any(values < 0):
-            raise UsageError("weights must be non-negative")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", checked_bins(self.values, self.width, "weight vector"))
 
 
 @dataclass(frozen=True)
@@ -96,11 +90,8 @@ def neighborhood_score(d: Distribution, x: str, weights: WeightVector) -> float:
         raise UsageError(f"outcome {x!r} is not in the support of the distribution")
     if weights.width != d.width:
         raise UsageError("weight vector width does not match distribution width")
-    outcomes = d.outcomes()
-    dist = pairwise_distances(
-        pack_outcomes([x], d.width), pack_outcomes(outcomes, d.width)
-    )[0].astype(np.int64)
-    probs = np.array([d.entries[o] for o in outcomes])
+    outcomes, probs = support_arrays(d)
+    dist = min_distances_to_set(outcomes, [x], d.width)
     px = d.entries[x]
     keep = (dist < chs_length(d.width)) & (probs < px)
     return float(px + weights.values[dist[keep]] @ probs[keep])
@@ -115,10 +106,9 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
     if len(d_in) == 0:
         raise UsageError("cannot reconstruct an empty distribution")
     d = as_probabilities(d_in)
-    outcomes = d.outcomes()
+    outcomes, probs = support_arrays(d)
     n = len(outcomes)
     codes = pack_outcomes(outcomes, d.width)
-    probs = np.array([d.entries[x] for x in outcomes])
 
     pairs = pair_histograms(codes, probs, d.width)
     chs = ChsVector(width=d.width, values=pairs.chs, pair_evaluations=n * n)

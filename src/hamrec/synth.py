@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Distribution, UsageError, _check_bitstring, as_probabilities
+from .core import (
+    Distribution,
+    UsageError,
+    _check_bitstring,
+    as_probabilities,
+    bit_matrix,
+    support_arrays,
+)
 
 BV10_KEY = "1010101010"
 BV10_TOP_ERROR = "1010100010"  # the key with bit 6 flipped
@@ -66,12 +73,6 @@ def ideal_bv(key: str) -> Distribution:
     return Distribution(width=len(key), entries={key: 1.0}, kind="probabilities")
 
 
-def _bit_rows(strings, width: int) -> np.ndarray:
-    """Bitstrings as a (len, width) boolean array, character i in column i."""
-    raw = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
-    return raw.reshape(-1, width) == ord("1")
-
-
 def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distribution:
     """Draw ``trials`` noisy samples from an ideal distribution.
 
@@ -95,12 +96,11 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     for mask, _ in model.correlated_errors:
         if len(mask) != ideal.width:
             raise UsageError(f"mask width {len(mask)} does not match program width {ideal.width}")
-    probs_dist = as_probabilities(ideal)
-    outcomes = probs_dist.outcomes()
+    outcomes, probs = support_arrays(as_probabilities(ideal))
     if not outcomes:
         raise UsageError("cannot sample from an empty distribution")
     width = ideal.width
-    cum = np.cumsum([probs_dist.entries[x] for x in outcomes])
+    cum = np.cumsum(probs)
 
     rng = np.random.Generator(np.random.PCG64(model.seed))
     u_base = rng.random(trials)
@@ -111,10 +111,10 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     category = np.searchsorted(mask_edges, u_category, side="right")
     n_masks = len(model.correlated_errors)
 
-    ideal_bits = _bit_rows(outcomes, width)
+    ideal_bits = bit_matrix(outcomes, width)
     # Row n_masks is all zeros: background trials apply no mask.
     mask_table = np.zeros((n_masks + 1, width), dtype=bool)
-    mask_table[:n_masks] = _bit_rows([m for m, _ in model.correlated_errors], width)
+    mask_table[:n_masks] = bit_matrix([m for m, _ in model.correlated_errors], width)
 
     packed = np.empty((trials, (width + 7) // 8), dtype=np.uint8)
     rows = max(1, SAMPLE_BLOCK_ELEMENTS // width)

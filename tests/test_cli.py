@@ -95,6 +95,37 @@ class TestReconstructCommand:
         bad.write_text(json.dumps({"01": 1, "011": 2}))
         assert main(["reconstruct", "--input", str(bad)]) == 2
 
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"01": 1, "\xff": 2}')
+        assert main(["reconstruct", "--input", str(bad)]) == 2
+        assert "bad.json: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["not json", '{"01": 1, "011": 2}'])
+    def test_stdin_errors_name_stdin(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["reconstruct", "--input", "-"]) == 2
+        assert capsys.readouterr().err.startswith("hamrec: error: stdin: ")
+
+    @pytest.mark.parametrize("via_symlink", [False, True])
+    def test_output_and_report_on_one_file_rejected(self, tmp_path, counts_file, capsys,
+                                                    monkeypatch, via_symlink):
+        out = tmp_path / "out.json"
+        report = out
+        if via_symlink:
+            report = tmp_path / "link.json"
+            report.symlink_to(out)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        monkeypatch.setattr("hamrec.cli.hammer", lambda d: pytest.fail("hammer ran"))
+        code = main(
+            ["reconstruct", "--input", str(counts_file), "--output", str(out),
+             "--report", str(report)]
+        )
+        assert code == 1
+        assert "same file" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert not out.exists()
+
     def test_missing_required_flag(self, capsys):
         assert main(["reconstruct"]) == 1
 

@@ -139,6 +139,51 @@ class TestFromCounts:
             from_counts(raw)
 
 
+# Malformed maps, each rejected by the validator in Distribution and so by
+# every parser built on it.
+MALFORMED = {
+    "non-string key": {"01": 1, 2: 1},
+    "ragged widths": {"01": 1, "011": 1},
+    "non-binary key": {"01": 1, "0b": 1},
+    "bool weight": {"01": True},
+    "str weight": {"01": "x"},
+    "nan weight": {"01": float("nan")},
+    "negative weight": {"01": -1},
+    "non-integer count": {"00": 1.5, "01": 2},
+}
+
+
+class TestOneValidator:
+    @pytest.mark.parametrize("raw", MALFORMED.values(), ids=MALFORMED)
+    def test_entry_points_reject_alike(self, raw):
+        for kind in ("counts", "probabilities"):
+            with pytest.raises(UsageError):
+                Distribution(2, raw, kind=kind)
+        with pytest.raises(ParseError):
+            from_counts(raw)
+        with pytest.raises(ParseError):
+            distribution_from_json_obj(raw)
+
+    def test_counts_agree_and_stay_int(self):
+        raw = {"10": 3, "01": 1, "11": 0}
+        direct = Distribution(2, raw)
+        numpy_counts = {k: np.int64(v) for k, v in raw.items()}
+        for parsed in (from_counts(raw), from_counts(numpy_counts),
+                       distribution_from_json_obj(raw)):
+            assert parsed == direct
+            assert list(parsed.entries) == ["01", "10"]
+            assert all(type(v) is int for v in parsed.entries.values())
+
+    def test_probabilities_agree_and_are_float(self):
+        raw = {"10": 0.25, "01": 0.75, "11": 0}
+        direct = Distribution(2, raw, kind="probabilities")
+        for d in (direct, distribution_from_json_obj(raw),
+                  Distribution(2, {"01": 1}, kind="probabilities")):
+            assert d.kind == "probabilities"
+            assert all(type(v) is float for v in d.entries.values())
+        assert distribution_from_json_obj(raw) == direct
+
+
 class TestNormalize:
     def test_counts_divided_by_exact_total(self):
         d = from_counts({"00": 2000, "11": 23000})
@@ -191,7 +236,8 @@ class TestJsonInterchange:
         with pytest.raises(ParseError):
             distribution_from_json_obj({"01": 0.25, "10": 0.25})
 
-    @pytest.mark.parametrize("obj", [{}, [], {"01": "x"}, {"01": True}, {"01": -0.5}, {"0b": 1.0}])
+    @pytest.mark.parametrize("obj", [{}, [], {"01": "x"}, {"01": True}, {"01": -0.5}, {"0b": 1.0},
+                                     {"01": 10**400, "10": 0.5}, {"01": 0.0, "10": 0.0}])
     def test_rejects_malformed(self, obj):
         with pytest.raises(ParseError):
             distribution_from_json_obj(obj)

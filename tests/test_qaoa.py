@@ -69,6 +69,8 @@ class TestCutCost:
     def test_width_checked(self):
         with pytest.raises(UsageError):
             cut_cost(TRIANGLE, "01")
+        with pytest.raises(UsageError):
+            cut_cost(TRIANGLE, "012")
 
     @given(st.integers(min_value=0, max_value=4000))
     def test_oracle_and_spin_flip_symmetry(self, seed):
