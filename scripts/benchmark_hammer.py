@@ -2,8 +2,13 @@
 """Wall-time sweep of the reconstruction kernel over (width, support) grids.
 
 Generates random sparse distributions, runs the full reconstruction, and
-prints a timing table. Useful for checking that the blocked pairwise
-kernels stay within budget as the support grows.
+prints a timing table with the logical and the computed pair counts.
+Useful for checking that the shared pair pass stays within budget as the
+support grows. The default sizes lie on both sides of
+``hamrec.analysis.ROW_HISTOGRAM_COLUMNS`` (512), the block width from
+which the pass histograms its distance rows one at a time.
+
+    PYTHONPATH=src python scripts/benchmark_hammer.py --widths 10 16 --sizes 150 600
 """
 
 import argparse
@@ -28,7 +33,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--widths", type=int, nargs="+", default=[10, 16, 24])
     parser.add_argument(
-        "--sizes", type=int, nargs="+", default=[1000, 5000, 10000, 20000]
+        "--sizes", type=int, nargs="+", default=[150, 600, 1000, 5000, 10000, 20000]
     )
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()

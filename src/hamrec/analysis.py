@@ -37,6 +37,15 @@ BIN_CONSERVATION_TOL = 1e-12
 # that each block's temporaries (a few MB) stay in cache.
 PAIR_BLOCK_ELEMENTS = 1 << 18
 
+# Blocks with at least this many columns are histogrammed one row at a
+# time; narrower blocks are binned all at once. A per-row bincount has a
+# fixed cost of about 2.5 us, which only long rows repay. 512 is the
+# measured crossover of the two paths and the first block's width at the
+# budget above, so a support of 512 or more outcomes goes row by row from
+# its first block on and never allocates the block path's index and weight
+# copies (8 bytes per pair each).
+ROW_HISTOGRAM_COLUMNS = 512
+
 
 def chs_length(width: int) -> int:
     """Number of tracked distance bins: ceil(width / 2)."""
@@ -146,9 +155,27 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     needs the columns j < i: each unordered pair is computed once and adds
     p_j + p_i to the CHS; the columns before ``gstart[i]`` also feed the
     lighter-neighbor histogram; the tie group ``gstart[i] <= j < i`` feeds
-    only the CHS. Per-row bins are: d for a lighter neighbor, n_bins + 1 + d
-    for a tie, and n_bins for everything out of range, on or above the
-    diagonal.
+    only the CHS.
+
+    Rows are computed in blocks of about ``PAIR_BLOCK_ELEMENTS`` pairs, and
+    a block's distances become histograms in one of two ways:
+
+    * A block of fewer than ``ROW_HISTOGRAM_COLUMNS`` columns is binned at
+      once: each pair lands in a per-row bin (d for a lighter neighbor,
+      n_bins + 1 + d for a tie, n_bins for everything out of range, on or
+      above the diagonal), and one weighted and one unweighted bincount
+      over the flattened block fill every row.
+    * A wider block is binned row by row over contiguous slices, which
+      needs no bin offsets, masks or weight copies: ``row[:g]`` with the
+      weights ``p[:g]`` gives the lighter histogram, and the counts of
+      ``row[:i]`` plus those of ``row[g:i]`` give the pair counts, with a
+      tie counted twice because its mass p_j = p_i is not in the lighter
+      histogram.
+
+    The per-row path pays a fixed cost per bincount call, so it only wins
+    on long rows; small supports stay on the block path. Both paths add
+    the lighter masses of a row in column order, so ``lighter`` does not
+    depend on the path; the CHS sums may differ in the last bits.
     """
     n_bins = chs_length(width)
     stride = 2 * n_bins + 1
@@ -170,27 +197,37 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
         rows = stop - start
         dist = pairwise_distances(c[start:stop], c[:stop])
         pairs += dist.size
-        idx = np.minimum(dist, n_bins, dtype=np.intp)
-        # Columns before the block's first tie group are lighter for every
-        # row; only the rest needs the tie and triangle masks.
-        row = np.arange(start, stop)[:, None]
-        col = np.arange(gstart[start], stop)
-        rest = idx[:, gstart[start]:]
-        rest[(col >= gstart[row]) & (col < row) & (rest < n_bins)] += n_bins + 1
-        rest[col >= row] = n_bins
-        idx += np.arange(0, rows * stride, stride)[:, None]
-        flat = idx.ravel()
-        weights = np.broadcast_to(p[:stop], dist.shape).ravel()
-        mass = np.bincount(flat, weights=weights, minlength=rows * stride).reshape(rows, stride)
-        count = np.bincount(flat, minlength=rows * stride).reshape(rows, stride)
-        lighter[start:stop] = mass[:, :n_bins]
-        near_mass = mass[:, :n_bins] + mass[:, n_bins + 1:]
-        near_count = count[:, :n_bins] + count[:, n_bins + 1:]
-        chs += near_mass.sum(axis=0) + p[start:stop] @ near_count
+        if stop >= ROW_HISTOGRAM_COLUMNS:
+            light = np.empty((rows, n_bins))
+            near = np.empty((rows, width + 1), dtype=np.intp)
+            for r, (g, row) in enumerate(zip(gstart[start:stop].tolist(), dist)):
+                i = start + r
+                light[r] = np.bincount(row[:g], weights=p[:g], minlength=width + 1)[:n_bins]
+                near[r] = np.bincount(row[:i], minlength=width + 1)
+                if g < i:
+                    near[r] += np.bincount(row[g:i], minlength=width + 1)
+            chs += light.sum(axis=0) + p[start:stop] @ near[:, :n_bins]
+        else:
+            idx = np.minimum(dist, n_bins, dtype=np.intp)
+            # Columns before the block's first tie group are lighter for
+            # every row; only the rest needs the tie and triangle masks.
+            row = np.arange(start, stop)[:, None]
+            col = np.arange(gstart[start], stop)
+            rest = idx[:, gstart[start]:]
+            rest[(col >= gstart[row]) & (col < row) & (rest < n_bins)] += n_bins + 1
+            rest[col >= row] = n_bins
+            idx += np.arange(0, rows * stride, stride)[:, None]
+            flat = idx.ravel()
+            weights = np.broadcast_to(p[:stop], dist.shape).ravel()
+            mass = np.bincount(flat, weights=weights, minlength=rows * stride).reshape(rows, stride)
+            count = np.bincount(flat, minlength=rows * stride).reshape(rows, stride)
+            light = mass[:, :n_bins]
+            near_mass = light + mass[:, n_bins + 1:]
+            near_count = count[:, :n_bins] + count[:, n_bins + 1:]
+            chs += near_mass.sum(axis=0) + p[start:stop] @ near_count
+        lighter[order[start:stop]] = light  # back in the caller's order
         start = stop
-    unsorted = np.empty_like(lighter)
-    unsorted[order] = lighter
-    return PairHistograms(chs=chs, lighter=unsorted, pairs_computed=pairs)
+    return PairHistograms(chs=chs, lighter=lighter, pairs_computed=pairs)
 
 
 def global_chs(d: Distribution) -> ChsVector:

@@ -9,6 +9,8 @@ only fixes bookkeeping.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,18 +38,38 @@ class CapabilityError(UsageError):
     """The requested computation exceeds a built-in size limit."""
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CutGraph:
-    """Undirected weighted graph; vertices are bit positions of an outcome."""
+    """Undirected weighted graph; vertices are bit positions of an outcome.
+
+    The one home of graph validation, parser included: the vertex count and
+    the endpoints are integers (not ``bool``), endpoints lie in range, there
+    are no self-loops or duplicate edges, and every weight is a finite real
+    (not ``bool``), stored as ``float``. Anything else raises
+    :class:`UsageError`.
+    """
 
     n_vertices: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        if not _is_integer(self.n_vertices):
+            raise UsageError(f"vertex count must be an integer, got {self.n_vertices!r}")
         if self.n_vertices < 1:
             raise UsageError("graph needs at least one vertex")
         seen = set()
-        for u, v, w in self.edges:
+        edges = []
+        for edge in self.edges:
+            try:
+                u, v, w = edge
+            except (TypeError, ValueError):
+                raise UsageError(f"edge {edge!r} must be a (u, v, weight) triple") from None
+            if not (_is_integer(u) and _is_integer(v)):
+                raise UsageError(f"edge endpoints must be integers, got {edge!r}")
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise UsageError(f"edge ({u}, {v}) out of range for {self.n_vertices} vertices")
             if u == v:
@@ -56,7 +78,17 @@ class CutGraph:
             if key in seen:
                 raise UsageError(f"duplicate edge ({u}, {v})")
             seen.add(key)
-            float(w)
+            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+                raise UsageError(f"edge weight must be a number, got {edge!r}")
+            try:
+                w = float(w)
+            except OverflowError:  # an integer beyond float range
+                w = math.inf
+            if not math.isfinite(w):
+                raise UsageError(f"non-finite edge weight in {edge!r}")
+            edges.append((int(u), int(v), w))
+        object.__setattr__(self, "n_vertices", int(self.n_vertices))
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def total_weight(self) -> float:
@@ -181,22 +213,15 @@ def graph_from_json_obj(obj) -> CutGraph:
     """Parse ``{"n": int, "edges": [[u, v, w], ...]}``; w defaults to 1.0."""
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ParseError('graph JSON must be an object with "n" and "edges"')
-    n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError(f'"n" must be an integer, got {n!r}')
+    if not isinstance(obj["edges"], (list, tuple)):
+        raise ParseError('graph "edges" must be a list')
     edges = []
     for item in obj["edges"]:
         if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
             raise ParseError(f"edge {item!r} must be [u, v] or [u, v, w]")
-        u, v = item[0], item[1]
-        w = item[2] if len(item) == 3 else 1.0
-        if not all(isinstance(e, int) and not isinstance(e, bool) for e in (u, v)):
-            raise ParseError(f"edge endpoints must be integers, got {item!r}")
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise ParseError(f"edge weight must be a number, got {item!r}")
-        edges.append((u, v, float(w)))
+        edges.append((*item, 1.0) if len(item) == 2 else tuple(item))
     try:
-        return CutGraph(n_vertices=n, edges=tuple(edges))
+        return CutGraph(n_vertices=obj["n"], edges=tuple(edges))
     except UsageError as exc:
         raise ParseError(str(exc)) from exc
 

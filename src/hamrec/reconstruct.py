@@ -17,9 +17,13 @@ the procedure scale-sensitive, so a canonical scale is fixed up front.
 Steps 1 and 3 share one pass over the pairs
 (:func:`hamrec.analysis.pair_histograms`): outcomes are sorted stably by
 ascending probability, each unordered pair's distance is computed once in
-the lower triangle, and tie groups of equal probability are binned apart
-so they feed the CHS but not each other's scores. The sort and the block
-order are fixed, which keeps results bit-reproducible run to run.
+the lower triangle, and tie groups of equal probability feed the CHS but
+not each other's scores. Small supports bin each block of distance rows
+at once, with masks that route ties and the upper triangle to separate
+bins; long rows are binned one at a time over contiguous column slices,
+which needs no masks or copies but pays a fixed cost per row, so the pass
+switches on the row length. The sort, the block order and the switch are
+fixed, which keeps results bit-reproducible run to run.
 """
 
 from __future__ import annotations
@@ -101,7 +105,11 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
     """Run the full three-step reconstruction on a distribution.
 
     Counts are normalized first; the output is a probability distribution
-    over exactly the input support.
+    over exactly the input support. An outcome whose reconstructed
+    probability underflows to 0 in float64 (possible below an input
+    probability of about 1e-160, since the update multiplies it by its
+    score) is kept at the smallest subnormal, about 4.9e-324, so no
+    outcome is dropped; every other entry is unchanged.
     """
     if len(d_in) == 0:
         raise UsageError("cannot reconstruct an empty distribution")
@@ -116,7 +124,7 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
 
     scores = probs + pairs.lighter @ weights.values
     raw = scores * probs
-    out_probs = raw / raw.sum()
+    out_probs = np.maximum(raw / raw.sum(), np.finfo(float).smallest_subnormal)
     output = Distribution(
         width=d.width,
         entries=dict(zip(outcomes, out_probs.tolist())),

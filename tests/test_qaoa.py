@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,6 +56,31 @@ class TestCutGraph:
             CutGraph(3, ((0, 1, 1.0), (1, 0, 2.0)))  # duplicate undirected edge
         with pytest.raises(UsageError):
             CutGraph(0, ())
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (2, ((0, 1, "2"),)),  # numeric string weight
+            (2, ((0, 1, "x"),)),
+            (2, ((0, 1, True),)),
+            (2, ((0, 1, float("nan")),)),
+            (2, ((0, 1, float("inf")),)),
+            (2, ((0, 1, 10 ** 400),)),  # beyond float range
+            (2, ((0, 1.5, 1.0),)),  # non-integer endpoint
+            (2, ((False, 1, 1.0),)),
+            (2, ((0, 1),)),  # no weight
+            ("2", ((0, 1, 1.0),)),
+        ],
+    )
+    def test_rejects_bad_types(self, n, edges):
+        with pytest.raises(UsageError):
+            CutGraph(n, edges)
+
+    def test_weights_stored_as_float(self):
+        g = CutGraph(np.int64(3), ((np.int64(0), 1, 2), (1, 2, np.float32(0.5))))
+        assert g == CutGraph(3, ((0, 1, 2.0), (1, 2, 0.5)))
+        assert [type(w) for _, _, w in g.edges] == [float, float]
+        assert cut_cost(g, "010") == -2.5
 
 
 class TestCutCost:
@@ -253,6 +279,11 @@ class TestGraphJson:
             {"n": 3, "edges": [[0, 1, "w"]]},
             {"n": 3, "edges": [[0, 5]]},
             {"n": 3, "edges": [[0, 1], [1, 0]]},
+            {"n": 3, "edges": [[0, 1, "2"]]},
+            {"n": 3, "edges": [[0, 1, True]]},
+            json.loads('{"n": 3, "edges": [[0, 1, NaN]]}'),
+            json.loads('{"n": 3, "edges": [[0, 1, -Infinity]]}'),
+            {"n": 3, "edges": 5},
         ],
     )
     def test_rejects_malformed(self, obj):

@@ -115,6 +115,37 @@ class TestHammer:
         assert abs(sum(rep.output.entries.values()) - 1.0) <= 1e-9
         assert set(rep.output.entries) == {"0101", "1010", "0111"}
 
+    def test_underflowing_outcome_is_kept(self):
+        # 1e-320 * its score underflows to 0; the outcome stays in the
+        # support at the smallest subnormal.
+        d = Distribution(2, {"00": 1e-320, "01": 1 - 1e-320}, kind="probabilities")
+        out = hammer(d).output.entries
+        assert out == {"00": np.finfo(float).smallest_subnormal, "01": 1.0}
+
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda width: st.tuples(
+                st.just(width),
+                st.dictionaries(
+                    st.integers(min_value=0, max_value=2 ** width - 1),
+                    st.floats(min_value=0.0, max_value=300.0),
+                    min_size=1,
+                    max_size=24,
+                ),
+            )
+        )
+    )
+    def test_extreme_dynamic_range_matches_oracle(self, case):
+        width, exponents = case
+        raw = {format(k, f"0{width}b"): 10.0 ** -e for k, e in exponents.items()}
+        total = sum(raw.values())
+        d = Distribution(width, {k: v / total for k, v in raw.items()}, kind="probabilities")
+        out = hammer(d).output.entries
+        expected = hammer_oracle(d.entries, width)
+        assert out.keys() == d.entries.keys() == expected.keys()
+        for k, v in expected.items():
+            assert abs(out[k] - v) <= 1e-12
+
     def test_amplifies_neighborhood_rich_outcome(self):
         # Two equal-probability outcomes; one has strictly lower-probability
         # neighbors inside the cutoff, the other is isolated. The rich one
