@@ -24,11 +24,11 @@ from .core import (
     UsageError,
     _check_bitstring,
     checked_reference,
+    code_strings,
     min_distances_to_set,
     pack_outcomes,
     pairwise_distances,
     require_probabilities,
-    support_arrays,
 )
 
 BIN_CONSERVATION_TOL = 1e-12
@@ -104,14 +104,13 @@ def build_spectrum(d: Distribution, reference) -> HammingSpectrum:
     """Bucket every outcome of ``d`` by its minimum distance to ``reference``."""
     require_probabilities(d, "build_spectrum")
     refs = checked_reference(reference, d.width)
-    outcomes = d.outcomes()
-    buckets: list[list[tuple[str, float]]] = [[] for _ in range(d.width + 1)]
-    for x, k in zip(outcomes, min_distances_to_set(outcomes, refs, d.width)):
-        buckets[k].append((x, d.entries[x]))
-    bins = tuple(
-        tuple(sorted(bucket, key=lambda item: (-item[1], item[0])))
-        for bucket in buckets
-    )
+    dist = min_distances_to_set(d.codes, pack_outcomes(refs, d.width))
+    # By distance, then descending probability; lexsort is stable, so ties
+    # keep the ascending bitstring order of the support.
+    order = np.lexsort((-d.weights, dist))
+    items = list(zip(code_strings(d.codes[order], d.width), d.weights[order].tolist()))
+    edges = np.searchsorted(dist[order], np.arange(d.width + 2)).tolist()
+    bins = tuple(tuple(items[a:b]) for a, b in zip(edges, edges[1:]))
     return HammingSpectrum(width=d.width, reference=refs, bins=bins)
 
 
@@ -123,10 +122,9 @@ def chs_for_outcome(d: Distribution, x: str) -> ChsVector:
     require_probabilities(d, "chs_for_outcome")
     _check_bitstring(x, width=d.width)
     n_bins = chs_length(d.width)
-    outcomes, probs = support_arrays(d)
-    dist = min_distances_to_set(outcomes, [x], d.width)
+    dist = min_distances_to_set(d.codes, pack_outcomes([x], d.width))
     keep = dist < n_bins
-    values = np.bincount(dist[keep], weights=probs[keep], minlength=n_bins)
+    values = np.bincount(dist[keep], weights=d.weights[keep], minlength=n_bins)
     return ChsVector(width=d.width, values=values, pair_evaluations=len(d))
 
 
@@ -168,8 +166,8 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     * A wider block is binned row by row over contiguous slices, which
       needs no bin offsets, masks or weight copies: ``row[:g]`` with the
       weights ``p[:g]`` gives the lighter histogram, and the counts of
-      ``row[:i]`` plus those of ``row[g:i]`` give the pair counts, with a
-      tie counted twice because its mass p_j = p_i is not in the lighter
+      ``row[:g]`` plus twice those of ``row[g:i]`` give the pair counts: a
+      tie counts twice because its mass p_j = p_i is not in the lighter
       histogram.
 
     The per-row path pays a fixed cost per bincount call, so it only wins
@@ -189,13 +187,16 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     lighter = np.empty((n, n_bins))
     pairs = 0
     start = 0
+    # One XOR buffer for every block: a fresh multi-MB temporary per block
+    # can be returned to the OS and faulted back in each time.
+    scratch = np.empty(min(n * n, max(PAIR_BLOCK_ELEMENTS, n)), dtype=np.uint64)
     while start < n:
         # The largest stop with rows x columns = (stop - start) * stop
         # within the budget.
         root = math.isqrt(start * start + 4 * PAIR_BLOCK_ELEMENTS)
         stop = min(n, max(start + 1, (start + root) // 2))
         rows = stop - start
-        dist = pairwise_distances(c[start:stop], c[:stop])
+        dist = pairwise_distances(c[start:stop], c[:stop], scratch[:rows * stop])
         pairs += dist.size
         if stop >= ROW_HISTOGRAM_COLUMNS:
             light = np.empty((rows, n_bins))
@@ -203,9 +204,9 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
             for r, (g, row) in enumerate(zip(gstart[start:stop].tolist(), dist)):
                 i = start + r
                 light[r] = np.bincount(row[:g], weights=p[:g], minlength=width + 1)[:n_bins]
-                near[r] = np.bincount(row[:i], minlength=width + 1)
+                near[r] = np.bincount(row[:g], minlength=width + 1)
                 if g < i:
-                    near[r] += np.bincount(row[g:i], minlength=width + 1)
+                    near[r] += 2 * np.bincount(row[g:i], minlength=width + 1)
             chs += light.sum(axis=0) + p[start:stop] @ near[:, :n_bins]
         else:
             idx = np.minimum(dist, n_bins, dtype=np.intp)
@@ -238,8 +239,7 @@ def global_chs(d: Distribution) -> ChsVector:
     exactly N*N.
     """
     require_probabilities(d, "global_chs")
-    outcomes, probs = support_arrays(d)
-    values = pair_histograms(pack_outcomes(outcomes, d.width), probs, d.width).chs
+    values = pair_histograms(d.codes, d.weights, d.width).chs
     return ChsVector(width=d.width, values=values, pair_evaluations=len(d) ** 2)
 
 
@@ -253,8 +253,9 @@ def ehd(d: Distribution, reference, mode: str = "normalized") -> float:
     if mode not in ("normalized", "raw"):
         raise UsageError(f"ehd mode must be normalized or raw, got {mode!r}")
     require_probabilities(d, "ehd")
-    outcomes, probs = support_arrays(d)
-    dist = min_distances_to_set(outcomes, checked_reference(reference, d.width), d.width)
+    refs = pack_outcomes(checked_reference(reference, d.width), d.width)
+    dist = min_distances_to_set(d.codes, refs)
+    probs = d.weights
     wrong = dist > 0
     if not wrong.any():
         return 0.0
@@ -282,16 +283,8 @@ def spectrum_to_json_obj(spectrum: HammingSpectrum) -> list:
     ]
 
 
-def spectrum_rows(spectrum: HammingSpectrum) -> list[tuple[int, str, float]]:
-    """Flat (d, bitstring, probability) rows for CSV export."""
-    return [
-        (k, x, p)
-        for k, bucket in enumerate(spectrum.bins)
-        for x, p in bucket
-    ]
-
-
 def spectrum_to_csv(spectrum: HammingSpectrum) -> str:
+    """Flat ``d,bitstring,probability`` rows."""
     lines = ["d,bitstring,probability"]
-    lines += [f"{k},{x},{p!r}" for k, x, p in spectrum_rows(spectrum)]
+    lines += [f"{k},{x},{p!r}" for k, bucket in enumerate(spectrum.bins) for x, p in bucket]
     return "\n".join(lines) + "\n"

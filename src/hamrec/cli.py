@@ -79,7 +79,11 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
 
 
 def _emit_json(obj, path: str | None) -> None:
-    _emit((json.dumps(obj, indent=2), path))
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+        raise UsageError(f"result cannot be written as JSON: {exc}") from None
+    _emit((text, path))
 
 
 def _correct_set(values: list[str]) -> set[str]:

@@ -1,13 +1,15 @@
 """Bitstring outcomes, sparse distributions, and Hamming kernels.
 
-Outcomes are plain Python strings over {0,1}; the LEFTMOST character is
-bit index 0 everywhere (file formats, CLI arguments, masks). A
-:class:`Distribution` is a sparse map from outcome to weight, tagged with
-its bit width and whether the weights are raw counts or probabilities.
+Outcomes are strings over {0,1} at the boundary: file formats, CLI
+arguments, masks. The LEFTMOST character is bit index 0 everywhere.
 
-Internally outcomes are packed into little arrays of 64-bit words so the
-pairwise kernels in the analysis and reconstruction modules can run as
-vectorized XOR + popcount, but the public surface stays string-based.
+Inside the library a :class:`Distribution` holds its outcomes as packed
+rows of 64-bit words (character i is bit ``63 - i % 64`` of word
+``i // 64``), sorted ascending, which is ascending bitstring order, beside
+one array of weights. The pairwise kernels in the analysis and
+reconstruction modules run on those rows as vectorized XOR + popcount.
+Bitstrings are made from the rows only by the JSON writer,
+``Distribution.outcomes()`` and ``Distribution.entries``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,14 @@ import numbers
 import os
 import sys
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 PROB_SUM_TOL = 1e-9
+
+# Counts are stored as int64: every count, and their total, stays below this.
+COUNT_LIMIT = 2**63
 
 _BITS = frozenset("01")
 
@@ -46,6 +51,11 @@ def _check_bitstring(s: str, width: int | None = None) -> str:
     return s
 
 
+def _is_integer(value) -> bool:
+    """An integer of any integer type, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def hamming_distance(a: str, b: str) -> int:
     """Number of differing bit positions between two equal-width outcomes."""
     _check_bitstring(a)
@@ -56,71 +66,189 @@ def hamming_distance(a: str, b: str) -> int:
 def min_distance_to_set(x: str, reference: Iterable[str]) -> int:
     """Shortest Hamming distance from ``x`` to any outcome in ``reference``."""
     _check_bitstring(x)
-    return int(min_distances_to_set([x], checked_reference(reference, len(x)), len(x))[0])
+    refs = pack_outcomes(checked_reference(reference, len(x)), len(x))
+    return int(min_distances_to_set(pack_outcomes([x], len(x)), refs)[0])
 
 
 @dataclass(frozen=True)
+class _Packed:
+    """Packed outcome rows and their weights, in any order: the ``entries``
+    that code already holding arrays passes, checked as a map is."""
+
+    codes: np.ndarray
+    weights: np.ndarray
+
+
+def _check_entry(key, weight, width: int, kind: str) -> None:
+    """Raise UsageError for the first check that one entry fails."""
+    _check_bitstring(key, width=width)
+    if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+        raise UsageError(f"weight for outcome {key!r} is not a number: {weight!r}")
+    if kind == "counts":
+        if not isinstance(weight, numbers.Integral):
+            raise UsageError(f"count for outcome {key!r} is not an integer: {weight!r}")
+        weight = int(weight)
+        if weight >= COUNT_LIMIT:
+            raise UsageError(f"count {weight!r} for outcome {key!r} is 2**63 or more")
+    else:
+        try:
+            weight = float(weight)
+        except OverflowError:  # an integer beyond float range
+            weight = math.inf
+        if not math.isfinite(weight):
+            raise UsageError(f"non-finite weight {weight!r} for outcome {key!r}")
+    if weight < 0:
+        raise UsageError(f"negative weight {weight!r} for outcome {key!r}")
+
+
+def _map_arrays(entries: Mapping, width: int, kind: str) -> _Packed:
+    """A ``{bitstring: weight}`` map as arrays, checked as a whole.
+
+    If a check fails, or a key or weight cannot join its array, the
+    entries are checked one by one from the first that failed (from the
+    start when no array was built), so the error names the first bad
+    entry in the map's order.
+    """
+    keys, values = list(entries), list(entries.values())
+    dtype, wanted = (np.int64, numbers.Integral) if kind == "counts" else (np.float64, numbers.Real)
+    chars = weights = None
+    with contextlib.suppress(TypeError, ValueError, OverflowError):  # the check below names it
+        if set(map(len, keys)) <= {width}:
+            chars = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
+            chars = chars.reshape(len(keys), width)
+        if not any(issubclass(t, bool) or not issubclass(t, wanted) for t in set(map(type, values))):
+            weights = np.array(values, dtype=dtype)
+    start = 0
+    if chars is not None and weights is not None:
+        bad = ((chars | 1) != ord("1")).any(axis=1) | ~(np.isfinite(weights) & (weights >= 0))
+        start = int(bad.argmax()) if bad.any() else len(keys)
+    for key, weight in zip(keys[start:], values[start:]):
+        _check_entry(key, weight, width, kind)
+    return _Packed(pack_bits(chars == ord("1")), weights)
+
+
+def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The one array validator: read-only codes in ascending order and
+    their weights, with zero weights dropped."""
+    codes, weights = np.asarray(packed.codes), np.asarray(packed.weights)
+    if (codes.dtype != np.uint64 or weights.ndim != 1
+            or codes.shape != (len(weights), (width + 63) // 64)
+            or weights.dtype.kind not in ("iu" if kind == "counts" else "iuf")):
+        raise UsageError(f"packed {kind} do not fit width {width}")
+    weights = weights.astype(np.int64 if kind == "counts" else np.float64, copy=False)
+    bad = ~(np.isfinite(weights) & (weights >= 0))
+    if bad.any():
+        first = int(bad.argmax())
+        key = code_strings(codes[first:first + 1], width)[0]
+        _check_entry(key, weights[first].item(), width, kind)
+    keep = weights != 0
+    order = np.lexsort(codes[keep].T[::-1])
+    codes, weights = codes[keep][order], weights[keep][order]
+    if (codes[1:] == codes[:-1]).all(axis=1).any():
+        raise UsageError("an outcome appears more than once")
+    total = float(weights.sum(dtype=np.float64))  # an int64 sum could wrap
+    if kind == "counts" and total >= COUNT_LIMIT / 2 and sum(weights.tolist()) >= COUNT_LIMIT:
+        raise UsageError("counts sum to 2**63 or more")
+    if kind == "probabilities" and len(weights) and abs(total - 1.0) > PROB_SUM_TOL:
+        raise UsageError(f"probabilities sum to {total!r}, expected 1 +- {PROB_SUM_TOL}")
+    codes.flags.writeable = weights.flags.writeable = False
+    return codes, weights
+
+
+# The last ``entries`` dict built and the distribution it was built for,
+# kept until the next distribution is built.
+_last_entries: tuple = (None, None)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Distribution:
     """Sparse outcome histogram: counts or probabilities over n-bit strings.
 
-    The one home of key and weight validation, parsers included. Every key
-    is a width-n bitstring; every weight is a finite, non-negative real (not
-    ``bool``), an integer for kind="counts" (stored as int) and a float for
-    kind="probabilities", whose weights sum to 1 within ``PROB_SUM_TOL``.
-    Anything else raises :class:`UsageError`. Zero-weight entries are
-    dropped, and entries are kept in ascending bitstring order so
-    accumulations and serialized output are deterministic.
+    The one home of key and weight validation, parsers included.
+    ``width`` is an integer >= 1 (numpy integers too, not ``bool``).
+    ``entries`` maps width-n bitstrings to finite, non-negative real
+    weights (not ``bool``): integers for kind="counts", each and in total
+    below 2**63, or reals for kind="probabilities" that sum to 1 within
+    ``PROB_SUM_TOL``. Anything else raises :class:`UsageError` naming the
+    first bad entry in the map's order. Zero-weight entries are dropped.
+
+    A distribution is immutable. It holds two read-only arrays: ``codes``,
+    the outcomes packed as by :func:`pack_outcomes` in ascending order
+    (ascending bitstring order), and ``weights``, int64 counts or float64
+    probabilities. ``entries`` and ``outcomes()`` make bitstrings from
+    them on each access; no per-outcome object is kept. Distributions are
+    equal when their width, kind, codes and weights are.
     """
 
     width: int
-    entries: dict[str, float] = field(default_factory=dict)
-    kind: str = "counts"
+    kind: str
+    codes: np.ndarray
+    weights: np.ndarray
+    __hash__ = None
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise UsageError(f"width must be >= 1, got {self.width}")
-        if self.kind not in ("counts", "probabilities"):
-            raise UsageError(f"kind must be counts or probabilities, got {self.kind!r}")
-        cleaned = {}
-        for key, weight in self.entries.items():
-            _check_bitstring(key, width=self.width)
-            # Builtin types first: an ABC check alone costs about 0.5 us per key.
-            if isinstance(weight, bool) or not isinstance(weight, (float, int, numbers.Real)):
-                raise UsageError(f"weight for outcome {key!r} is not a number: {weight!r}")
-            if self.kind == "counts":
-                if not isinstance(weight, (int, numbers.Integral)):
-                    raise UsageError(f"count for outcome {key!r} is not an integer: {weight!r}")
-                weight = int(weight)
-            else:
-                try:
-                    weight = float(weight)
-                except OverflowError:  # an integer beyond float range
-                    weight = math.inf
-                if not math.isfinite(weight):
-                    raise UsageError(f"non-finite weight {weight!r} for outcome {key!r}")
-            if weight < 0:
-                raise UsageError(f"negative weight {weight!r} for outcome {key!r}")
-            if weight > 0:
-                cleaned[key] = weight
-        object.__setattr__(self, "entries", {k: cleaned[k] for k in sorted(cleaned)})
-        if self.kind == "probabilities" and cleaned:
-            total = self.total()
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise UsageError(f"probabilities sum to {total!r}, expected 1 +- {PROB_SUM_TOL}")
+    def __init__(self, width: int, entries: Mapping | _Packed | None = None, kind: str = "counts"):
+        if not (_is_integer(width) and width >= 1):
+            raise UsageError(f"width must be an integer >= 1, got {width!r}")
+        if kind not in ("counts", "probabilities"):
+            raise UsageError(f"kind must be counts or probabilities, got {kind!r}")
+        width = int(width)
+        global _last_entries
+        _last_entries = (None, None)  # see ``entries``
+        if not isinstance(entries, _Packed):
+            entries = _map_arrays({} if entries is None else entries, width, kind)
+        codes, weights = _checked_arrays(entries, width, kind)
+        for name, value in (("width", width), ("kind", kind), ("codes", codes), ("weights", weights)):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.width == other.width and self.kind == other.kind
+                and np.array_equal(self.codes, other.codes)
+                and np.array_equal(self.weights, other.weights))
+
+    def __repr__(self) -> str:
+        return f"Distribution(width={self.width}, entries={self.entries!r}, kind={self.kind!r})"
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.weights)
 
     def total(self):
-        """Sum of all weights (exact integer arithmetic for counts)."""
-        total = sum(self.entries.values())
-        return total if self.kind == "counts" else float(total)
+        """Sum of all weights (an exact int for counts)."""
+        total = self.weights.sum()
+        return int(total) if self.kind == "counts" else float(total)
 
     def outcomes(self) -> list[str]:
-        return list(self.entries)
+        """The support as bitstrings, in ascending order."""
+        return code_strings(self.codes, self.width)
 
-    def probability(self, outcome: str) -> float:
-        return self.entries.get(outcome, 0.0)
+    @property
+    def entries(self) -> dict:
+        """``{bitstring: weight}`` in ascending key order, ``int`` counts or
+        ``float`` probabilities.
+
+        Changing the dict does not change the distribution. Until another
+        distribution is built or read, reading the same distribution's
+        ``entries`` again returns that same dict, so a read-modify-read
+        sees its own change, as when the dict was stored. The benchmark's
+        self-check corrupts an output that way. Only that one dict is
+        kept, and building a distribution drops it.
+        """
+        global _last_entries
+        owner, entries = _last_entries
+        if owner is not self:
+            entries = dict(zip(self.outcomes(), self.weights.tolist()))
+            _last_entries = (self, entries)
+        return entries
+
+    def probability(self, outcome: str):
+        """The weight of ``outcome``, or 0.0 when it is not in the support."""
+        try:
+            code = pack_outcomes([_check_bitstring(outcome, self.width)], self.width)
+        except UsageError:
+            return 0.0
+        hit = (self.codes == code).all(axis=1)
+        return self.weights[hit][0].item() if hit.any() else 0.0
 
 
 def _parsed(raw, kind: str) -> Distribution:
@@ -134,7 +262,7 @@ def _parsed(raw, kind: str) -> Distribution:
         d = Distribution(width=width, entries=raw, kind=kind)
     except UsageError as exc:
         raise ParseError(str(exc)) from None
-    if not d.entries:
+    if len(d) == 0:
         raise ParseError("no outcome has a positive weight")
     return d
 
@@ -153,15 +281,15 @@ def normalize(d: Distribution) -> Distribution:
     """Convert to probabilities by dividing each weight by the total.
 
     Probability inputs are returned unchanged, which makes the operation
-    exactly idempotent.
+    exactly idempotent. Counts and their total stay below 2**63, so no
+    probability underflows to 0.
     """
     if d.kind == "probabilities":
         return d
     if len(d) == 0:
         raise UsageError("cannot normalize an empty or all-zero distribution")
-    total = d.total()
-    entries = {k: v / total for k, v in d.entries.items()}
-    return Distribution(width=d.width, entries=entries, kind="probabilities")
+    probs = d.weights / d.total()
+    return Distribution(width=d.width, entries=_Packed(d.codes, probs), kind="probabilities")
 
 
 # The name callers use when they need probabilities, whatever the input kind.
@@ -184,11 +312,6 @@ def checked_reference(reference, width: int) -> tuple[str, ...]:
     return tuple(sorted(refs))
 
 
-def support_arrays(d: Distribution) -> tuple[list[str], np.ndarray]:
-    """The outcomes of ``d`` in canonical order and their weights as floats."""
-    return d.outcomes(), np.fromiter(d.entries.values(), dtype=float, count=len(d))
-
-
 # ---------------------------------------------------------------------------
 # Packed representation used by the pairwise kernels.
 
@@ -199,38 +322,59 @@ def bit_matrix(outcomes: Iterable[str], width: int) -> np.ndarray:
     return raw.reshape(len(strings), width) == ord("1")
 
 
-def pack_outcomes(outcomes: Iterable[str], width: int) -> np.ndarray:
-    """Pack bitstrings into an (N, n_words) uint64 array.
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Pack (N, width) boolean rows into an (N, n_words) uint64 array.
 
-    Character i is bit ``63 - i % 64`` of word ``i // 64``; all bits beyond
-    the declared width stay zero. XOR + popcount on the packed rows
-    reproduces string Hamming distance.
+    Column i is bit ``63 - i % 64`` of word ``i // 64``; all bits beyond
+    the width stay zero. XOR + popcount on the packed rows reproduces
+    string Hamming distance, and rows compared word by word order as
+    their bitstrings do.
     """
-    n_words = (width + 63) // 64
-    bits = bit_matrix(outcomes, width)
-    packed = np.zeros((len(bits), 8 * n_words), dtype=np.uint8)
+    n, width = bits.shape
+    packed = np.zeros((n, 8 * ((width + 63) // 64)), dtype=np.uint8)
     packed[:, :(width + 7) // 8] = np.packbits(bits, axis=1)
     return packed.view(">u8").astype(np.uint64)
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamming distance matrix between packed rows of ``a`` and ``b``."""
+def pack_outcomes(outcomes: Iterable[str], width: int) -> np.ndarray:
+    """Pack bitstrings into an (N, n_words) uint64 array (see :func:`pack_bits`)."""
+    return pack_bits(bit_matrix(outcomes, width))
+
+
+def code_bits(codes: np.ndarray, width: int) -> np.ndarray:
+    """Packed rows as an (N, width) boolean array: the inverse of :func:`pack_bits`."""
+    octets = codes.astype(">u8").view(np.uint8).reshape(len(codes), 8 * codes.shape[1])
+    return np.unpackbits(octets, axis=1, count=width).view(bool)
+
+
+def code_strings(codes: np.ndarray, width: int) -> list[str]:
+    """Packed rows as bitstrings."""
+    chars = code_bits(codes, width).view(np.uint8) + ord("0")
+    return chars.view(f"S{width}").ravel().astype(str).tolist()
+
+
+def pairwise_distances(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Hamming distance matrix between packed rows of ``a`` and ``b``.
+
+    ``scratch``, a uint64 array of len(a) * len(b) elements, takes the XOR
+    of each word; without it each call allocates that temporary.
+    """
+    shape = (a.shape[0], b.shape[0])
+    xor = np.empty(shape, dtype=np.uint64) if scratch is None else scratch.reshape(shape)
     if a.shape[1] == 1:
-        return np.bitwise_count(a[:, 0][:, None] ^ b[:, 0][None, :])
-    dist = np.zeros((a.shape[0], b.shape[0]), dtype=np.uint16)
+        return np.bitwise_count(np.bitwise_xor(a[:, :1], b[:, 0], out=xor))
+    dist = np.zeros(shape, dtype=np.uint16)
     for w in range(a.shape[1]):
-        dist += np.bitwise_count(a[:, w][:, None] ^ b[:, w][None, :])
+        dist += np.bitwise_count(np.bitwise_xor(a[:, w:w + 1], b[:, w], out=xor))
     return dist
 
 
-def min_distances_to_set(outcomes: list[str], reference, width: int) -> np.ndarray:
-    """Shortest Hamming distance from each outcome to any of ``reference``.
+def min_distances_to_set(codes: np.ndarray, ref_codes: np.ndarray) -> np.ndarray:
+    """Shortest Hamming distance from each packed row to any row of ``ref_codes``.
 
-    With a single reference outcome x this is the distance row from x to
+    With a single reference row x this is the distance row from x to
     every outcome, as the per-outcome diagnostics need it.
     """
-    codes = pack_outcomes(outcomes, width)
-    ref_codes = pack_outcomes(reference, width)
     return pairwise_distances(codes, ref_codes).min(axis=1).astype(np.int64)
 
 
@@ -247,7 +391,7 @@ def distribution_from_json_obj(obj) -> Distribution:
     :class:`ParseError`.
     """
     counts = isinstance(obj, dict) and all(
-        isinstance(v, int) and not isinstance(v, bool) for v in obj.values()
+        issubclass(t, int) and t is not bool for t in set(map(type, obj.values()))
     )
     return _parsed(obj, "counts" if counts else "probabilities")
 
@@ -278,9 +422,15 @@ def load_distribution(path) -> Distribution:
 
 
 def distribution_to_json(d: Distribution) -> str:
-    """Entries as JSON text in canonical key order, counts as integers."""
-    payload = {k: (int(v) if d.kind == "counts" else v) for k, v in d.entries.items()}
-    return json.dumps(payload, indent=2) + "\n"
+    """Entries as JSON text in canonical key order, counts as integers.
+
+    The text of ``json.dumps(d.entries, indent=2) + "\\n"``, written line by
+    line: ``indent`` makes ``json`` use its pure-Python encoder.
+    """
+    if len(d) == 0:
+        return "{}\n"
+    lines = [f'  "{k}": {v!r}' for k, v in zip(d.outcomes(), d.weights.tolist())]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def write_files(texts: Mapping) -> None:

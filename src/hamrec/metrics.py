@@ -12,11 +12,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     Distribution,
     UsageError,
     as_probabilities,
     checked_reference,
+    min_distances_to_set,
+    pack_outcomes,
     require_probabilities,
 )
 
@@ -40,9 +44,9 @@ class MeritReport:
 
 def pst(d: Distribution, correct) -> float:
     """Probability of a successful trial: correct mass after normalization."""
-    keys = checked_reference(correct, d.width)
-    d = as_probabilities(d)
-    return float(sum(d.entries[k] for k in keys if k in d.entries))
+    correct = _is_correct(d, correct)
+    # Summed one by one in ascending key order.
+    return float(sum(as_probabilities(d).weights[correct].tolist()))
 
 
 def ist(d: Distribution, correct) -> float:
@@ -54,10 +58,10 @@ def ist(d: Distribution, correct) -> float:
     """
     if len(d) == 0:
         raise UsageError("ist of an empty distribution is undefined")
-    keys = set(checked_reference(correct, d.width))
+    correct = _is_correct(d, correct)
     d = as_probabilities(d)
-    best_correct = max((p for x, p in d.entries.items() if x in keys), default=0.0)
-    best_incorrect = max((p for x, p in d.entries.items() if x not in keys), default=0.0)
+    best_correct = float(d.weights[correct].max(initial=0.0))
+    best_incorrect = float(d.weights[~correct].max(initial=0.0))
     if best_incorrect == 0.0:
         return math.inf
     return best_correct / best_incorrect
@@ -69,10 +73,20 @@ def tvd(p: Distribution, q: Distribution) -> float:
         raise UsageError(f"width mismatch: {p.width} vs {q.width}")
     require_probabilities(p, "tvd")
     require_probabilities(q, "tvd")
-    keys = set(p.entries) | set(q.entries)
-    # fsum is correctly rounded, so the result is independent of key order
-    # and tvd(p, q) == tvd(q, p) exactly.
-    return 0.5 * math.fsum(abs(p.probability(k) - q.probability(k)) for k in keys)
+    # Each outcome's slot in the union of the two supports.
+    union, slot = np.unique(np.concatenate([p.codes, q.codes]), axis=0, return_inverse=True)
+    diff = np.zeros(len(union))
+    diff[slot[:len(p)]] = p.weights
+    diff[slot[len(p):]] -= q.weights
+    # fsum is correctly rounded, so the result is independent of order and
+    # tvd(p, q) == tvd(q, p) exactly.
+    return 0.5 * math.fsum(np.abs(diff).tolist())
+
+
+def _is_correct(d: Distribution, correct) -> np.ndarray:
+    """Mask of the support of ``d`` that lies in the set ``correct``."""
+    refs = pack_outcomes(checked_reference(correct, d.width), d.width)
+    return min_distances_to_set(d.codes, refs) == 0
 
 
 def merit_report(d: Distribution, correct, reference: Distribution | None = None) -> MeritReport:

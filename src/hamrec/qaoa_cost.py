@@ -20,11 +20,12 @@ from .core import (
     ParseError,
     UsageError,
     _check_bitstring,
+    _is_integer,
     as_probabilities,
     bit_matrix,
+    code_bits,
     read_json,
     require_probabilities,
-    support_arrays,
 )
 
 # Exhaustive search above this many vertices is not attempted; callers must
@@ -36,10 +37,6 @@ _BLOCK = 1 << 20
 
 class CapabilityError(UsageError):
     """The requested computation exceeds a built-in size limit."""
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -114,9 +111,9 @@ class QualityCurve:
         return "\n".join(lines) + "\n"
 
 
-def _spin_matrix(outcomes, width: int) -> np.ndarray:
-    """(N, width) array of +-1 spins; bit '0' maps to +1."""
-    return 1 - 2 * bit_matrix(outcomes, width).astype(np.int64)
+def _spin_matrix(bits: np.ndarray) -> np.ndarray:
+    """(N, width) array of +-1 spins from a bit matrix; bit 0 maps to +1."""
+    return 1 - 2 * bits.astype(np.int64)
 
 
 def _costs(g: CutGraph, spins: np.ndarray) -> np.ndarray:
@@ -129,7 +126,7 @@ def _costs(g: CutGraph, spins: np.ndarray) -> np.ndarray:
 def cut_cost(g: CutGraph, x: str) -> float:
     """Cost of one assignment: sum of w * s_u * s_v over the edges."""
     _check_bitstring(x, width=g.n_vertices)
-    spins = _spin_matrix([x], g.n_vertices)
+    spins = _spin_matrix(bit_matrix([x], g.n_vertices))
     return float(_costs(g, spins)[0])
 
 
@@ -167,12 +164,16 @@ def expected_cost(g: CutGraph, d: Distribution) -> float:
         raise UsageError(f"width mismatch: distribution {d.width}, graph {g.n_vertices}")
     if len(d) == 0:
         raise UsageError("expected_cost of an empty distribution is undefined")
-    outcomes, probs = support_arrays(d)
-    return float(_costs(g, _spin_matrix(outcomes, d.width)) @ probs)
+    return float(_costs(g, _spin_matrix(code_bits(d.codes, d.width))) @ d.weights)
 
 
 def _resolved_c_min(g: CutGraph, c_min_override: float | None) -> float:
-    cmin = c_min(g) if c_min_override is None else float(c_min_override)
+    if c_min_override is None:
+        cmin = c_min(g)
+    else:
+        cmin = float(c_min_override)
+        if not math.isfinite(cmin) or cmin == 0.0:
+            raise UsageError(f"C_min override must be finite and non-zero, got {cmin!r}")
     if cmin == 0.0:
         raise UsageError("C_min is zero (edgeless graph?); cost ratio is undefined")
     return cmin
@@ -195,18 +196,12 @@ def quality_curve(g: CutGraph, d: Distribution, c_min_override: float | None = N
     d = as_probabilities(d)
     if len(d) == 0:
         raise UsageError("quality_curve of an empty distribution is undefined")
-    outcomes = d.outcomes()
-    costs = _costs(g, _spin_matrix(outcomes, d.width))
-    mass: dict[float, float] = {}
-    for x, c in zip(outcomes, costs):
-        ratio = float(c) / cmin + 0.0  # collapse -0.0 from zero-cost cuts
-        mass[ratio] = mass.get(ratio, 0.0) + d.entries[x]
-    points = []
-    running = 0.0
-    for ratio in sorted(mass, reverse=True):
-        running += mass[ratio]
-        points.append((ratio, running))
-    return QualityCurve(points=tuple(points))
+    costs = _costs(g, _spin_matrix(code_bits(d.codes, d.width)))
+    ratios, slot = np.unique(costs / cmin + 0.0, return_inverse=True)  # + 0.0 collapses -0.0
+    # bincount and cumsum add in order, one term at a time: each ratio's
+    # mass in ascending outcome order, then the ratios from the best down.
+    mass = np.bincount(slot, weights=d.weights, minlength=len(ratios))[::-1]
+    return QualityCurve(points=tuple(zip(ratios[::-1].tolist(), np.cumsum(mass).tolist())))
 
 
 def graph_from_json_obj(obj) -> CutGraph:

@@ -36,10 +36,10 @@ from .analysis import ChsVector, checked_bins, chs_length, pair_histograms
 from .core import (
     Distribution,
     UsageError,
+    _Packed,
     as_probabilities,
     min_distances_to_set,
     pack_outcomes,
-    support_arrays,
 )
 
 
@@ -90,13 +90,13 @@ def neighborhood_score(d: Distribution, x: str, weights: WeightVector) -> float:
     instead seeds the score.
     """
     d = as_probabilities(d)
-    if x not in d.entries:
+    px = d.probability(x)
+    if px == 0.0:
         raise UsageError(f"outcome {x!r} is not in the support of the distribution")
     if weights.width != d.width:
         raise UsageError("weight vector width does not match distribution width")
-    outcomes, probs = support_arrays(d)
-    dist = min_distances_to_set(outcomes, [x], d.width)
-    px = d.entries[x]
+    probs = d.weights
+    dist = min_distances_to_set(d.codes, pack_outcomes([x], d.width))
     keep = (dist < chs_length(d.width)) & (probs < px)
     return float(px + weights.values[dist[keep]] @ probs[keep])
 
@@ -114,22 +114,17 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
     if len(d_in) == 0:
         raise UsageError("cannot reconstruct an empty distribution")
     d = as_probabilities(d_in)
-    outcomes, probs = support_arrays(d)
-    n = len(outcomes)
-    codes = pack_outcomes(outcomes, d.width)
+    probs = d.weights
+    n = len(d)
 
-    pairs = pair_histograms(codes, probs, d.width)
+    pairs = pair_histograms(d.codes, probs, d.width)
     chs = ChsVector(width=d.width, values=pairs.chs, pair_evaluations=n * n)
     weights = weights_from_chs(chs)
 
     scores = probs + pairs.lighter @ weights.values
     raw = scores * probs
     out_probs = np.maximum(raw / raw.sum(), np.finfo(float).smallest_subnormal)
-    output = Distribution(
-        width=d.width,
-        entries=dict(zip(outcomes, out_probs.tolist())),
-        kind="probabilities",
-    )
+    output = Distribution(width=d.width, entries=_Packed(d.codes, out_probs), kind="probabilities")
     return ReconstructionReport(
         output=output,
         chs=chs,

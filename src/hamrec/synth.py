@@ -20,9 +20,12 @@ from .core import (
     Distribution,
     UsageError,
     _check_bitstring,
+    _is_integer,
+    _Packed,
     as_probabilities,
     bit_matrix,
-    support_arrays,
+    code_bits,
+    pack_bits,
 )
 
 BV10_KEY = "1010101010"
@@ -52,6 +55,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise UsageError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 <= self.per_bit_flip < 1.0:
             raise UsageError(f"per_bit_flip must be in [0, 1), got {self.per_bit_flip}")
         total = 0.0
@@ -88,30 +93,30 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     is 0.
 
     Trials are built as bit rows (ideal outcome XOR mask, plus per-bit
-    flips on background trials only), packed to bytes and counted; only the
-    distinct outcomes become bitstrings.
+    flips on background trials only), packed and counted; no bitstring is
+    made.
     """
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
+    if not (_is_integer(trials) and trials >= 1):
+        raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
     for mask, _ in model.correlated_errors:
         if len(mask) != ideal.width:
             raise UsageError(f"mask width {len(mask)} does not match program width {ideal.width}")
-    outcomes, probs = support_arrays(as_probabilities(ideal))
-    if not outcomes:
+    if len(ideal) == 0:
         raise UsageError("cannot sample from an empty distribution")
+    ideal = as_probabilities(ideal)
     width = ideal.width
-    cum = np.cumsum(probs)
+    cum = np.cumsum(ideal.weights)
 
     rng = np.random.Generator(np.random.PCG64(model.seed))
     u_base = rng.random(trials)
     u_category = rng.random(trials)
 
-    base_idx = np.minimum(np.searchsorted(cum, u_base, side="right"), len(outcomes) - 1)
+    base_idx = np.minimum(np.searchsorted(cum, u_base, side="right"), len(ideal) - 1)
     mask_edges = np.cumsum([q for _, q in model.correlated_errors])
     category = np.searchsorted(mask_edges, u_category, side="right")
     n_masks = len(model.correlated_errors)
 
-    ideal_bits = bit_matrix(outcomes, width)
+    ideal_bits = code_bits(ideal.codes, width)
     # Row n_masks is all zeros: background trials apply no mask.
     mask_table = np.zeros((n_masks + 1, width), dtype=bool)
     mask_table[:n_masks] = bit_matrix([m for m, _ in model.correlated_errors], width)
@@ -128,13 +133,13 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
         packed[start:stop] = np.packbits(bits, axis=1)
 
     # Void rows compare bytewise, so unique() returns them in ascending
-    # bitstring order at any width.
+    # bitstring order at any width. One byte per 8 bits keeps the trials'
+    # rows small; only the distinct rows become 64-bit codes.
     rows_as_void = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     distinct, counts = np.unique(rows_as_void, return_counts=True)
     distinct_bits = np.unpackbits(distinct.view(np.uint8).reshape(len(distinct), -1),
-                                  axis=1, count=width)
-    keys = (distinct_bits + ord("0")).view(f"S{width}").ravel().astype(str).tolist()
-    return Distribution(width=width, entries=dict(zip(keys, counts.tolist())), kind="counts")
+                                  axis=1, count=width).view(bool)
+    return Distribution(width=width, entries=_Packed(pack_bits(distinct_bits), counts), kind="counts")
 
 
 def _pick(items: list, k: int, rng: np.random.Generator) -> list:

@@ -9,7 +9,8 @@ import pytest
 
 import hamrec.core
 from hamrec import hammer, load_distribution, merit_report
-from hamrec.cli import main
+from hamrec import UsageError
+from hamrec.cli import _emit_json, main
 
 COUNTS = {"1010101010": 800, "1010100010": 150, "1110101010": 50}
 
@@ -369,3 +370,34 @@ class TestPipelineEquivalence:
         lib = merit_report(hammer(load_distribution(counts)).output, {"1010101010"})
         assert cli_metrics["pst"] == pytest.approx(lib.pst, abs=1e-15)
         assert cli_metrics["ist"] == pytest.approx(lib.ist, abs=1e-15)
+
+
+class TestStrictOutputs:
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        graph = tmp_path / "ring.json"
+        graph.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}))
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps({"011": 3, "101": 1}))
+        return graph, counts
+
+    @pytest.mark.parametrize("cmin", ["nan", "inf", "-inf", "0"])
+    def test_cmin_must_be_finite_and_non_zero(self, inputs, capsys, cmin):
+        graph, counts = inputs
+        code = main(["qaoa", "--graph", str(graph), "--counts", str(counts), f"--cmin={cmin}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("hamrec: error:")
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["synth", "--key", "0101", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hamrec: error:")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_output_never_holds_nan_or_infinity(self, capsys, value):
+        with pytest.raises(UsageError, match="JSON"):
+            _emit_json({"cr": value}, None)
+        assert capsys.readouterr().out == ""

@@ -1,9 +1,11 @@
 import json
+import math
+import numbers
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from hamrec import (
@@ -13,6 +15,7 @@ from hamrec import (
     as_probabilities,
     from_counts,
     hamming_distance,
+    hammer,
     load_distribution,
     min_distance_to_set,
     normalize,
@@ -20,6 +23,7 @@ from hamrec import (
 )
 from hamrec.core import (
     distribution_from_json_obj,
+    distribution_to_json,
     pack_outcomes,
     pairwise_distances,
 )
@@ -281,3 +285,174 @@ class TestPackedAgainstNumpyPopcount:
         # uint16 before summing. Guard the assumption explicitly.
         x = np.array([np.uint64(2**64 - 1)])
         assert int(np.bitwise_count(x)[0]) == 64
+
+
+def reference_entries(width, entries, kind):
+    """The per-key validator that the array checks replaced, kept as the
+    reference, with the int64 bound on counts."""
+    cleaned = {}
+    for key, weight in entries.items():
+        if not isinstance(key, str) or not key:
+            raise UsageError(f"outcome must be a non-empty bitstring, got {key!r}")
+        if not set(key) <= {"0", "1"}:
+            raise UsageError(f"outcome {key!r} contains non-binary characters")
+        if len(key) != width:
+            raise UsageError(f"outcome {key!r} has width {len(key)}, expected {width}")
+        if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+            raise UsageError(f"weight for outcome {key!r} is not a number: {weight!r}")
+        if kind == "counts":
+            if not isinstance(weight, numbers.Integral):
+                raise UsageError(f"count for outcome {key!r} is not an integer: {weight!r}")
+            weight = int(weight)
+            if weight >= 2**63:
+                raise UsageError(f"count {weight!r} for outcome {key!r} is 2**63 or more")
+        else:
+            try:
+                weight = float(weight)
+            except OverflowError:
+                weight = math.inf
+            if not math.isfinite(weight):
+                raise UsageError(f"non-finite weight {weight!r} for outcome {key!r}")
+        if weight < 0:
+            raise UsageError(f"negative weight {weight!r} for outcome {key!r}")
+        if weight > 0:
+            cleaned[key] = weight
+    return {k: cleaned[k] for k in sorted(cleaned)}
+
+
+VALIDATOR_WIDTHS = [1, 8, 63, 64, 65, 130]
+BAD_KEYS = ["int", "bytes", "wide", "narrow", "digit 2", "non-ascii"]
+BAD_WEIGHTS = {
+    "counts": [True, "1", float("nan"), -1, 1.5, 2**63, np.float64(2.0)],
+    "probabilities": [False, "0.5", float("nan"), float("inf"), -float("inf"), -0.25, 10**400],
+}
+
+
+def bad_key(kind, key):
+    return {"int": 5, "bytes": key.encode(), "wide": key + "0", "narrow": key[1:],
+            "digit 2": "2" + key[1:], "non-ascii": "é" + key[1:]}[kind]
+
+
+@st.composite
+def valid_maps(draw):
+    """A map accepted by the validator, in random insertion order, with zero
+    weights, numpy integer counts and ints in probability maps."""
+    width = draw(st.sampled_from(VALIDATOR_WIDTHS))
+    kind = draw(st.sampled_from(["counts", "probabilities"]))
+    n = draw(st.integers(1, min(12, 2**width)))
+    keys = draw(st.lists(st.text("01", min_size=width, max_size=width),
+                         min_size=n, max_size=n, unique=True))
+    counts = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    if sum(counts) == 0:
+        counts[0] = 1
+    if kind == "counts":
+        wrap = draw(st.lists(st.sampled_from([int, np.int64, np.uint8, np.int32]),
+                             min_size=n, max_size=n))
+        weights = [w(c) for w, c in zip(wrap, counts)]
+    else:
+        total = sum(counts)
+        weights = [0 if c == 0 else 1 if c == total else c / total for c in counts]
+    return width, kind, dict(zip(keys, weights))
+
+
+class TestArrayValidator:
+    @given(valid_maps(), st.randoms(use_true_random=False))
+    def test_matches_reference_loop(self, case, rng):
+        width, kind, raw = case
+        want = reference_entries(width, raw, kind)
+        d = Distribution(width, raw, kind=kind)
+        assert list(d.entries.items()) == list(want.items())
+        assert [type(v) for v in d.entries.values()] == [type(v) for v in want.values()]
+        assert d.outcomes() == list(want)
+        assert d.codes.flags.writeable is False and d.weights.flags.writeable is False
+        items = list(raw.items())
+        rng.shuffle(items)
+        assert Distribution(width, dict(items), kind=kind) == d
+        assert Distribution(np.int64(width), want, kind=kind) == d
+        other = "counts" if kind == "probabilities" else "probabilities"
+        assert (normalize(d) == d) == (kind == "probabilities")
+        assert d != Distribution(width + 1, {"0" * (width + 1): 1}, kind=other)
+        if len(want) > 1:
+            fewer = dict(list(want.items())[1:])
+            total = sum(fewer.values())
+            if kind == "probabilities":
+                fewer = {k: v / total for k, v in fewer.items()}
+            assert d != Distribution(width, fewer, kind=kind)
+
+    @given(valid_maps(), st.data())
+    def test_bad_entries_raise_as_the_reference(self, case, data):
+        width, kind, raw = case
+        items = list(raw.items())
+        good_key, good_weight = items[0]
+        for _ in range(data.draw(st.integers(1, 2))):
+            if data.draw(st.booleans()):
+                key = bad_key(data.draw(st.sampled_from(BAD_KEYS)), good_key)
+                items.insert(data.draw(st.integers(0, len(items))), (key, good_weight))
+            else:
+                at = data.draw(st.integers(0, len(items) - 1))
+                items[at] = (items[at][0], data.draw(st.sampled_from(BAD_WEIGHTS[kind])))
+        bad = dict(items)
+        with pytest.raises(UsageError) as want:
+            reference_entries(width, bad, kind)
+        with pytest.raises(UsageError) as got:
+            Distribution(width, bad, kind=kind)
+        assert str(got.value) == str(want.value)
+
+    def test_count_bounds(self):
+        assert Distribution(1, {"0": 2**63 - 1}).total() == 2**63 - 1
+        for raw in ({"0": 2**63}, {"0": 2**62, "1": 2**62}, {"0": np.uint64(2**63)}):
+            with pytest.raises(UsageError, match="2\\*\\*63"):
+                Distribution(1, raw)
+            with pytest.raises(ParseError, match="2\\*\\*63"):
+                from_counts(raw)
+        with pytest.raises(ParseError, match="2\\*\\*63"):
+            distribution_from_json_obj({"00": 10**400, "01": 1})
+        with pytest.raises(UsageError):
+            hammer(Distribution(2, {"00": 10**400, "01": 1}))
+
+    @pytest.mark.parametrize("width", ["2", 2.0, True, 0, -1, None])
+    def test_width_must_be_a_positive_integer(self, width):
+        with pytest.raises(UsageError, match="width"):
+            Distribution(width, {"01": 1})
+
+    def test_immutable(self):
+        d = Distribution(2, {"01": 1})
+        with pytest.raises(AttributeError):
+            d.width = 3
+        with pytest.raises(ValueError):
+            d.weights[0] = 5
+
+
+class TestJsonWriter:
+    @given(st.integers(1, 130), st.data())
+    def test_text_matches_json_module(self, width, data):
+        n = data.draw(st.integers(0, 6))
+        keys = data.draw(st.lists(st.text("01", min_size=width, max_size=width),
+                                  min_size=n, max_size=n, unique=True))
+        if data.draw(st.booleans()):
+            values = data.draw(st.lists(st.sampled_from([1, 7, 2**40, 2**62]),
+                                        min_size=n, max_size=n))
+            assume(sum(values) < 2**63)
+            d = Distribution(width, dict(zip(keys, values)), kind="counts")
+        else:
+            values = data.draw(st.lists(st.sampled_from([5e-324, 1e-300, 1e-17, 0.1, 0.25]),
+                                        min_size=n, max_size=n))
+            if keys:
+                values[-1] = 1.0 - math.fsum(values[:-1])
+            d = Distribution(width, dict(zip(keys, values)), kind="probabilities")
+        assert distribution_to_json(d) == json.dumps(d.entries, indent=2) + "\n"
+
+    def test_empty_distribution(self):
+        assert distribution_to_json(Distribution(3)) == "{}\n"
+
+    @pytest.mark.parametrize("width", [64, 65, 130])
+    def test_wide_round_trips(self, tmp_path, width):
+        rng = random.Random(width)
+        keys = {"".join(rng.choice("01") for _ in range(width)) for _ in range(20)}
+        keys |= {"0" * width, "1" * width}
+        counts = from_counts({k: rng.randint(1, 9) for k in keys})
+        for d in (counts, normalize(counts)):
+            path = tmp_path / f"{d.kind}.json"
+            save_distribution(d, path)
+            assert load_distribution(path) == d
+            assert list(json.loads(path.read_text())) == sorted(keys)

@@ -217,3 +217,20 @@ class TestBv10Profile:
             d = bv10_profile(seed)
             assert pst(d, {BV10_KEY}) == 0.08
             assert ist(d, {BV10_KEY}) == 0.4
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(UsageError, match="seed"):
+            NoiseModel(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        model = NoiseModel(per_bit_flip=0.1, seed=np.int64(5))
+        assert sample_noisy(ideal_bv("0110"), model, 64) == sample_noisy(
+            ideal_bv("0110"), NoiseModel(per_bit_flip=0.1, seed=5), 64)
+
+    @pytest.mark.parametrize("trials", [True, 2.5, 0, -3])
+    def test_trials_must_be_an_integer_of_at_least_one(self, trials):
+        with pytest.raises(UsageError, match="trials"):
+            sample_noisy(ideal_bv("11"), NoiseModel(), trials)
