@@ -22,16 +22,12 @@ import numpy as np
 from .core import (
     Distribution,
     UsageError,
-    _check_bitstring,
-    checked_reference,
     code_strings,
     min_distances_to_set,
-    pack_outcomes,
     pairwise_distances,
+    reference_codes,
     require_probabilities,
 )
-
-BIN_CONSERVATION_TOL = 1e-12
 
 # Row blocks of the pair pass hold about this many (row, column) pairs, so
 # that each block's temporaries (a few MB) stay in cache.
@@ -103,15 +99,15 @@ class HammingSpectrum:
 def build_spectrum(d: Distribution, reference) -> HammingSpectrum:
     """Bucket every outcome of ``d`` by its minimum distance to ``reference``."""
     require_probabilities(d, "build_spectrum")
-    refs = checked_reference(reference, d.width)
-    dist = min_distances_to_set(d.codes, pack_outcomes(refs, d.width))
+    refs = reference_codes(reference, d.width)
+    dist = min_distances_to_set(d.codes, refs)
     # By distance, then descending probability; lexsort is stable, so ties
     # keep the ascending bitstring order of the support.
     order = np.lexsort((-d.weights, dist))
     items = list(zip(code_strings(d.codes[order], d.width), d.weights[order].tolist()))
     edges = np.searchsorted(dist[order], np.arange(d.width + 2)).tolist()
     bins = tuple(tuple(items[a:b]) for a, b in zip(edges, edges[1:]))
-    return HammingSpectrum(width=d.width, reference=refs, bins=bins)
+    return HammingSpectrum(width=d.width, reference=tuple(code_strings(refs, d.width)), bins=bins)
 
 
 def chs_for_outcome(d: Distribution, x: str) -> ChsVector:
@@ -120,9 +116,8 @@ def chs_for_outcome(d: Distribution, x: str) -> ChsVector:
     The self term (k = 0) is included when ``x`` carries probability.
     """
     require_probabilities(d, "chs_for_outcome")
-    _check_bitstring(x, width=d.width)
     n_bins = chs_length(d.width)
-    dist = min_distances_to_set(d.codes, pack_outcomes([x], d.width))
+    dist = min_distances_to_set(d.codes, reference_codes([x], d.width))
     keep = dist < n_bins
     values = np.bincount(dist[keep], weights=d.weights[keep], minlength=n_bins)
     return ChsVector(width=d.width, values=values, pair_evaluations=len(d))
@@ -253,8 +248,7 @@ def ehd(d: Distribution, reference, mode: str = "normalized") -> float:
     if mode not in ("normalized", "raw"):
         raise UsageError(f"ehd mode must be normalized or raw, got {mode!r}")
     require_probabilities(d, "ehd")
-    refs = pack_outcomes(checked_reference(reference, d.width), d.width)
-    dist = min_distances_to_set(d.codes, refs)
+    dist = min_distances_to_set(d.codes, reference_codes(reference, d.width))
     probs = d.weights
     wrong = dist > 0
     if not wrong.any():

@@ -5,7 +5,7 @@ Conventions shared by every subcommand:
 * distributions travel as JSON objects mapping bitstrings to counts
   (all-integer values) or probabilities (any float present, must sum to 1);
 * ``-`` as an input or output path means stdin/stdout, so stages pipe;
-* exit codes: 0 success, 1 usage error, 2 data/parse error;
+* exit codes: 0 success, 1 usage error or out of memory, 2 data/parse error;
 * inputs and flags are validated fully before any output file is written,
   a command's output paths must name different files, and its output
   files are replaced together once all their contents are computed, so a
@@ -300,6 +300,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"hamrec: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("hamrec: error: out of memory", file=sys.stderr)
         return 1
 
 

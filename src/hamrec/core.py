@@ -66,8 +66,8 @@ def hamming_distance(a: str, b: str) -> int:
 def min_distance_to_set(x: str, reference: Iterable[str]) -> int:
     """Shortest Hamming distance from ``x`` to any outcome in ``reference``."""
     _check_bitstring(x)
-    refs = pack_outcomes(checked_reference(reference, len(x)), len(x))
-    return int(min_distances_to_set(pack_outcomes([x], len(x)), refs)[0])
+    refs = reference_codes(reference, len(x))
+    return int(min_distances_to_set(reference_codes([x], len(x)), refs)[0])
 
 
 @dataclass(frozen=True)
@@ -142,10 +142,11 @@ def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray,
         key = code_strings(codes[first:first + 1], width)[0]
         _check_entry(key, weights[first].item(), width, kind)
     keep = weights != 0
-    order = np.lexsort(codes[keep].T[::-1])
-    codes, weights = codes[keep][order], weights[keep][order]
-    if (codes[1:] == codes[:-1]).all(axis=1).any():
+    codes, weights = codes[keep], weights[keep]
+    order, first = sort_rows(codes)
+    if not first.all():
         raise UsageError("an outcome appears more than once")
+    codes, weights = codes[order], weights[order]
     total = float(weights.sum(dtype=np.float64))  # an int64 sum could wrap
     if kind == "counts" and total >= COUNT_LIMIT / 2 and sum(weights.tolist()) >= COUNT_LIMIT:
         raise UsageError("counts sum to 2**63 or more")
@@ -302,25 +303,19 @@ def require_probabilities(d: Distribution, op: str) -> None:
         raise UsageError(f"{op} requires a normalized distribution; call normalize() first")
 
 
-def checked_reference(reference, width: int) -> tuple[str, ...]:
-    """A non-empty set of width-n bitstrings, deduplicated and sorted."""
+def reference_codes(reference, width: int) -> np.ndarray:
+    """A non-empty set of width-n bitstrings as packed rows, deduplicated
+    and in ascending order."""
     refs = set(reference)
     if not refs:
         raise UsageError("reference set must be non-empty")
     for r in refs:
         _check_bitstring(r, width=width)
-    return tuple(sorted(refs))
+    return pack_outcomes(sorted(refs), width)
 
 
 # ---------------------------------------------------------------------------
 # Packed representation used by the pairwise kernels.
-
-def bit_matrix(outcomes: Iterable[str], width: int) -> np.ndarray:
-    """Bitstrings as an (N, width) boolean array, character i in column i."""
-    strings = list(outcomes)
-    raw = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
-    return raw.reshape(len(strings), width) == ord("1")
-
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack (N, width) boolean rows into an (N, n_words) uint64 array.
@@ -338,7 +333,19 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 def pack_outcomes(outcomes: Iterable[str], width: int) -> np.ndarray:
     """Pack bitstrings into an (N, n_words) uint64 array (see :func:`pack_bits`)."""
-    return pack_bits(bit_matrix(outcomes, width))
+    strings = list(outcomes)
+    raw = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
+    return pack_bits(raw.reshape(len(strings), width) == ord("1"))
+
+
+def sort_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that sorts packed rows ascending (in bitstring
+    order), and a mask of the sorted rows that start a run of equal rows."""
+    order = np.lexsort(codes.T[::-1])
+    ordered = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return order, first
 
 
 def code_bits(codes: np.ndarray, width: int) -> np.ndarray:

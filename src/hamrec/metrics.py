@@ -18,9 +18,8 @@ from .core import (
     Distribution,
     UsageError,
     as_probabilities,
-    checked_reference,
     min_distances_to_set,
-    pack_outcomes,
+    reference_codes,
     require_probabilities,
 )
 
@@ -85,8 +84,7 @@ def tvd(p: Distribution, q: Distribution) -> float:
 
 def _is_correct(d: Distribution, correct) -> np.ndarray:
     """Mask of the support of ``d`` that lies in the set ``correct``."""
-    refs = pack_outcomes(checked_reference(correct, d.width), d.width)
-    return min_distances_to_set(d.codes, refs) == 0
+    return min_distances_to_set(d.codes, reference_codes(correct, d.width)) == 0
 
 
 def merit_report(d: Distribution, correct, reference: Distribution | None = None) -> MeritReport:

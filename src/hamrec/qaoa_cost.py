@@ -22,8 +22,8 @@ from .core import (
     _check_bitstring,
     _is_integer,
     as_probabilities,
-    bit_matrix,
     code_bits,
+    pack_outcomes,
     read_json,
     require_probabilities,
 )
@@ -46,8 +46,9 @@ class CutGraph:
     The one home of graph validation, parser included: the vertex count and
     the endpoints are integers (not ``bool``), endpoints lie in range, there
     are no self-loops or duplicate edges, and every weight is a finite real
-    (not ``bool``), stored as ``float``. Anything else raises
-    :class:`UsageError`.
+    (not ``bool``), stored as ``float``, and the weights' absolute values
+    sum to a finite ``total_weight``, which bounds every cut cost. Anything
+    else raises :class:`UsageError`.
     """
 
     n_vertices: int
@@ -86,6 +87,8 @@ class CutGraph:
             edges.append((int(u), int(v), w))
         object.__setattr__(self, "n_vertices", int(self.n_vertices))
         object.__setattr__(self, "edges", tuple(edges))
+        if not math.isfinite(self.total_weight):
+            raise UsageError("total edge weight is beyond float range")
 
     @property
     def total_weight(self) -> float:
@@ -111,13 +114,10 @@ class QualityCurve:
         return "\n".join(lines) + "\n"
 
 
-def _spin_matrix(bits: np.ndarray) -> np.ndarray:
-    """(N, width) array of +-1 spins from a bit matrix; bit 0 maps to +1."""
-    return 1 - 2 * bits.astype(np.int64)
-
-
-def _costs(g: CutGraph, spins: np.ndarray) -> np.ndarray:
-    cost = np.zeros(spins.shape[0])
+def _costs(g: CutGraph, codes: np.ndarray, width: int) -> np.ndarray:
+    """Cut cost of each packed row of ``width`` bits; bit 0 maps to spin +1."""
+    spins = 1 - 2 * code_bits(codes, width).astype(np.int64)
+    cost = np.zeros(len(codes))
     for u, v, w in g.edges:
         cost += w * spins[:, u] * spins[:, v]
     return cost
@@ -126,8 +126,7 @@ def _costs(g: CutGraph, spins: np.ndarray) -> np.ndarray:
 def cut_cost(g: CutGraph, x: str) -> float:
     """Cost of one assignment: sum of w * s_u * s_v over the edges."""
     _check_bitstring(x, width=g.n_vertices)
-    spins = _spin_matrix(bit_matrix([x], g.n_vertices))
-    return float(_costs(g, spins)[0])
+    return float(_costs(g, pack_outcomes([x], g.n_vertices), g.n_vertices)[0])
 
 
 def c_min(g: CutGraph, limit: int = BRUTE_FORCE_LIMIT) -> float:
@@ -146,14 +145,12 @@ def c_min(g: CutGraph, limit: int = BRUTE_FORCE_LIMIT) -> float:
         )
     if not g.edges:
         return 0.0
-    shifts = np.array([n - 1 - i for i in range(n)], dtype=np.uint64)
     best = np.inf
     total = 1 << (n - 1)
     for start in range(0, total, _BLOCK):
-        vals = np.arange(start, min(start + _BLOCK, total), dtype=np.uint64)
-        bits = (vals[:, None] >> shifts[None, :]) & np.uint64(1)
-        spins = 1 - 2 * bits.astype(np.int64)
-        best = min(best, float(_costs(g, spins).min()))
+        # Assignment k as a one-word code: its n bits at the top of the word.
+        codes = np.arange(start, min(start + _BLOCK, total), dtype=np.uint64) << np.uint64(64 - n)
+        best = min(best, float(_costs(g, codes[:, None], n).min()))
     return best
 
 
@@ -164,7 +161,7 @@ def expected_cost(g: CutGraph, d: Distribution) -> float:
         raise UsageError(f"width mismatch: distribution {d.width}, graph {g.n_vertices}")
     if len(d) == 0:
         raise UsageError("expected_cost of an empty distribution is undefined")
-    return float(_costs(g, _spin_matrix(code_bits(d.codes, d.width))) @ d.weights)
+    return float(_costs(g, d.codes, d.width) @ d.weights)
 
 
 def _resolved_c_min(g: CutGraph, c_min_override: float | None) -> float:
@@ -196,7 +193,7 @@ def quality_curve(g: CutGraph, d: Distribution, c_min_override: float | None = N
     d = as_probabilities(d)
     if len(d) == 0:
         raise UsageError("quality_curve of an empty distribution is undefined")
-    costs = _costs(g, _spin_matrix(code_bits(d.codes, d.width)))
+    costs = _costs(g, d.codes, d.width)
     ratios, slot = np.unique(costs / cmin + 0.0, return_inverse=True)  # + 0.0 collapses -0.0
     # bincount and cumsum add in order, one term at a time: each ratio's
     # mass in ascending outcome order, then the ratios from the best down.

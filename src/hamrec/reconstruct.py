@@ -39,7 +39,7 @@ from .core import (
     _Packed,
     as_probabilities,
     min_distances_to_set,
-    pack_outcomes,
+    reference_codes,
 )
 
 
@@ -96,7 +96,7 @@ def neighborhood_score(d: Distribution, x: str, weights: WeightVector) -> float:
     if weights.width != d.width:
         raise UsageError("weight vector width does not match distribution width")
     probs = d.weights
-    dist = min_distances_to_set(d.codes, pack_outcomes([x], d.width))
+    dist = min_distances_to_set(d.codes, reference_codes([x], d.width))
     keep = (dist < chs_length(d.width)) & (probs < px)
     return float(px + weights.values[dist[keep]] @ probs[keep])
 

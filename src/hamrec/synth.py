@@ -23,9 +23,9 @@ from .core import (
     _is_integer,
     _Packed,
     as_probabilities,
-    bit_matrix,
-    code_bits,
     pack_bits,
+    pack_outcomes,
+    sort_rows,
 )
 
 BV10_KEY = "1010101010"
@@ -68,9 +68,6 @@ class NoiseModel:
         if total > 1.0 + 1e-12:
             raise UsageError(f"correlated error probabilities sum to {total} > 1")
 
-    def mask_width(self) -> int | None:
-        return len(self.correlated_errors[0][0]) if self.correlated_errors else None
-
 
 def ideal_bv(key: str) -> Distribution:
     """Noise-free Bernstein-Vazirani output: all mass on the hidden key."""
@@ -92,9 +89,11 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     drawn after the per-bit block, so it is skipped when ``per_bit_flip``
     is 0.
 
-    Trials are built as bit rows (ideal outcome XOR mask, plus per-bit
-    flips on background trials only), packed and counted; no bitstring is
-    made.
+    Each trial is a packed code row: the ideal outcome's code XOR the
+    packed mask of its category (all zeros for background trials), XOR
+    the packed per-bit flips of background trials. One sort of the rows
+    (:func:`hamrec.core.sort_rows`) then counts the distinct outcomes; no
+    bitstring is made.
     """
     if not (_is_integer(trials) and trials >= 1):
         raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
@@ -116,30 +115,24 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     category = np.searchsorted(mask_edges, u_category, side="right")
     n_masks = len(model.correlated_errors)
 
-    ideal_bits = code_bits(ideal.codes, width)
     # Row n_masks is all zeros: background trials apply no mask.
-    mask_table = np.zeros((n_masks + 1, width), dtype=bool)
-    mask_table[:n_masks] = bit_matrix([m for m, _ in model.correlated_errors], width)
+    mask_table = pack_outcomes([m for m, _ in model.correlated_errors] + ["0" * width], width)
+    codes = ideal.codes[base_idx] ^ mask_table[category]
+    background = category == n_masks
+    del u_base, u_category, base_idx, category
 
-    packed = np.empty((trials, (width + 7) // 8), dtype=np.uint8)
-    rows = max(1, SAMPLE_BLOCK_ELEMENTS // width)
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
-        cat = category[start:stop]
-        bits = ideal_bits[base_idx[start:stop]] ^ mask_table[cat]
-        if model.per_bit_flip > 0.0:
+    if model.per_bit_flip > 0.0:
+        rows = max(1, SAMPLE_BLOCK_ELEMENTS // width)
+        for start in range(0, trials, rows):
+            stop = min(start + rows, trials)
             flips = rng.random((stop - start, width)) < model.per_bit_flip
-            bits ^= flips & (cat == n_masks)[:, None]
-        packed[start:stop] = np.packbits(bits, axis=1)
+            flips &= background[start:stop, None]
+            codes[start:stop] ^= pack_bits(flips)
 
-    # Void rows compare bytewise, so unique() returns them in ascending
-    # bitstring order at any width. One byte per 8 bits keeps the trials'
-    # rows small; only the distinct rows become 64-bit codes.
-    rows_as_void = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    distinct, counts = np.unique(rows_as_void, return_counts=True)
-    distinct_bits = np.unpackbits(distinct.view(np.uint8).reshape(len(distinct), -1),
-                                  axis=1, count=width).view(bool)
-    return Distribution(width=width, entries=_Packed(pack_bits(distinct_bits), counts), kind="counts")
+    order, first = sort_rows(codes)
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=trials)
+    return Distribution(width=width, entries=_Packed(codes[order[starts]], counts), kind="counts")
 
 
 def _pick(items: list, k: int, rng: np.random.Generator) -> list:

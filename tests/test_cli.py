@@ -390,6 +390,15 @@ class TestStrictOutputs:
         assert captured.out == ""
         assert captured.err.startswith("hamrec: error:")
 
+    def test_out_of_memory_is_exit_1(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+        monkeypatch.setattr("hamrec.cli.sample_noisy", exhausted)
+        assert main(["synth", "--key", "0101"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hamrec: error: out of memory\n"
+
     def test_negative_seed_is_usage_error(self, capsys):
         assert main(["synth", "--key", "0101", "--seed", "-1"]) == 1
         captured = capsys.readouterr()

@@ -24,8 +24,10 @@ from hamrec import (
 from hamrec.core import (
     distribution_from_json_obj,
     distribution_to_json,
+    pack_bits,
     pack_outcomes,
     pairwise_distances,
+    sort_rows,
 )
 from oracles import hd
 
@@ -223,6 +225,34 @@ class TestPackedKernels:
         b = "1" * 64 + "0" * 6
         codes = pack_outcomes([a, b], 70)
         assert int(pairwise_distances(codes, codes)[0, 1]) == 6
+
+
+class TestSortRows:
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+    @given(data=st.data())
+    def test_matches_numpy_unique(self, width, data):
+        # Patterns a few flips apart from one base, so that rows often
+        # differ in a single word only.
+        base = np.array([c == "1" for c in data.draw(bitstrings(width))])
+        edges = sorted({0, 62, 63, 64, 65, width - 1} & set(range(width)))
+        flips = st.sets(st.integers(0, width - 1) | st.sampled_from(edges), max_size=2)
+        patterns = [base ^ np.isin(np.arange(width), list(f))
+                    for f in data.draw(st.lists(flips, min_size=1, max_size=5))]
+        rows = data.draw(st.lists(st.sampled_from(patterns), max_size=20))
+        bits = np.array(rows, dtype=bool).reshape(-1, width)
+        codes = pack_bits(bits)
+        order, first = sort_rows(codes)
+        distinct, counts = np.unique(bits, axis=0, return_counts=True)
+        np.testing.assert_array_equal(codes[order[first]], pack_bits(distinct))
+        np.testing.assert_array_equal(np.diff(np.flatnonzero(first), append=len(rows)), counts)
+        np.testing.assert_array_equal(codes[order], np.repeat(pack_bits(distinct), counts, axis=0))
+        # Stable: equal rows keep their input order.
+        assert all(a < b for a, b, new in zip(order, order[1:], first[1:]) if not new)
+
+    @pytest.mark.parametrize("words", [1, 3])
+    def test_empty(self, words):
+        order, first = sort_rows(np.zeros((0, words), dtype=np.uint64))
+        assert order.shape == first.shape == (0,)
 
 
 class TestJsonInterchange:

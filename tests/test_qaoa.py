@@ -70,6 +70,7 @@ class TestCutGraph:
             (2, ((False, 1, 1.0),)),
             (2, ((0, 1),)),  # no weight
             ("2", ((0, 1, 1.0),)),
+            (3, ((0, 1, 1e308), (1, 2, 1e308))),  # total weight beyond float range
         ],
     )
     def test_rejects_bad_types(self, n, edges):
@@ -284,6 +285,7 @@ class TestGraphJson:
             json.loads('{"n": 3, "edges": [[0, 1, NaN]]}'),
             json.loads('{"n": 3, "edges": [[0, 1, -Infinity]]}'),
             {"n": 3, "edges": 5},
+            {"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]},
         ],
     )
     def test_rejects_malformed(self, obj):
