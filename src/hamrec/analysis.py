@@ -29,18 +29,10 @@ from .core import (
     require_probabilities,
 )
 
-# Row blocks of the pair pass hold about this many (row, column) pairs, so
-# that each block's temporaries (a few MB) stay in cache.
+# Supports with fewer than this many (row, column) pairs are binned as one
+# square; larger ones go in row blocks of about this many pairs, so that
+# each block's temporaries (a few MB) stay in cache.
 PAIR_BLOCK_ELEMENTS = 1 << 18
-
-# Blocks with at least this many columns are histogrammed one row at a
-# time; narrower blocks are binned all at once. A per-row bincount has a
-# fixed cost of about 2.5 us, which only long rows repay. 512 is the
-# measured crossover of the two paths and the first block's width at the
-# budget above, so a support of 512 or more outcomes goes row by row from
-# its first block on and never allocates the block path's index and weight
-# copies (8 bytes per pair each).
-ROW_HISTOGRAM_COLUMNS = 512
 
 
 def chs_length(width: int) -> int:
@@ -130,8 +122,7 @@ class PairHistograms:
     ``chs`` is the aggregate CHS over all ordered pairs. ``lighter[i, d]``
     is the mass of the outcomes strictly lighter than outcome ``i`` at
     distance d < n/2, with rows in the caller's outcome order.
-    ``pairs_computed`` is the number of distances actually evaluated
-    (the sum of rows x columns over the blocks).
+    ``pairs_computed`` is the number of distances actually evaluated.
     """
 
     chs: np.ndarray
@@ -140,51 +131,50 @@ class PairHistograms:
 
 
 def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHistograms:
-    """One pass over the lower triangle of the pair matrix.
+    """Both pair histograms, from outcomes sorted by probability.
 
     Outcomes are sorted ascending by probability (stably, so the result
     does not depend on anything but the caller's order), which turns
-    "strictly lighter" into "before the row's tie group". Row i then only
-    needs the columns j < i: each unordered pair is computed once and adds
-    p_j + p_i to the CHS; the columns before ``gstart[i]`` also feed the
-    lighter-neighbor histogram; the tie group ``gstart[i] <= j < i`` feeds
-    only the CHS.
+    "strictly lighter" into "before the row's tie group" ``gstart[i]``.
 
-    Rows are computed in blocks of about ``PAIR_BLOCK_ELEMENTS`` pairs, and
-    a block's distances become histograms in one of two ways:
+    * A support of fewer than ``PAIR_BLOCK_ELEMENTS`` pairs computes the
+      whole N x N square at once: the CHS is one weighted bincount of it,
+      and ``lighter`` one more, with the columns from ``gstart[i]`` on sent
+      to a dump bin.
+    * A larger support computes only the lower triangle, in row blocks of
+      about ``PAIR_BLOCK_ELEMENTS`` pairs, and bins each row over
+      contiguous slices: ``row[:g]`` with the weights ``p[:g]`` gives the
+      lighter histogram, and the counts of ``row[:g]`` plus twice those of
+      ``row[g:i]`` give the pair counts. A tie counts twice because its
+      mass p_j = p_i is not in the lighter histogram.
 
-    * A block of fewer than ``ROW_HISTOGRAM_COLUMNS`` columns is binned at
-      once: each pair lands in a per-row bin (d for a lighter neighbor,
-      n_bins + 1 + d for a tie, n_bins for everything out of range, on or
-      above the diagonal), and one weighted and one unweighted bincount
-      over the flattened block fill every row.
-    * A wider block is binned row by row over contiguous slices, which
-      needs no bin offsets, masks or weight copies: ``row[:g]`` with the
-      weights ``p[:g]`` gives the lighter histogram, and the counts of
-      ``row[:g]`` plus twice those of ``row[g:i]`` give the pair counts: a
-      tie counts twice because its mass p_j = p_i is not in the lighter
-      histogram.
-
-    The per-row path pays a fixed cost per bincount call, so it only wins
-    on long rows; small supports stay on the block path. Both paths add
-    the lighter masses of a row in column order, so ``lighter`` does not
-    depend on the path; the CHS sums may differ in the last bits.
+    Both paths add a row's lighter masses in column order, so ``lighter``
+    does not depend on the path; the CHS sums may differ in the last bits.
     """
     n_bins = chs_length(width)
-    stride = 2 * n_bins + 1
     n = codes.shape[0]
     order = np.argsort(probs, kind="stable")
     p = probs[order]
     c = codes[order]
     gstart = np.searchsorted(p, p, side="left")
+    lighter = np.empty((n, n_bins))
+    if n * n < PAIR_BLOCK_ELEMENTS:
+        dist = pairwise_distances(c, c)
+        weights = np.broadcast_to(p, dist.shape).ravel()
+        chs = np.bincount(dist.ravel(), weights=weights, minlength=n_bins)[:n_bins]
+        is_lighter = np.arange(n) < gstart[:, None]  # [row, column]
+        idx = np.where(is_lighter, np.minimum(dist, n_bins, dtype=np.intp), n_bins)
+        idx += np.arange(0, n * (n_bins + 1), n_bins + 1)[:, None]
+        light = np.bincount(idx.ravel(), weights=weights, minlength=n * (n_bins + 1))
+        lighter[order] = light.reshape(n, n_bins + 1)[:, :n_bins]  # back in the caller's order
+        return PairHistograms(chs=chs, lighter=lighter, pairs_computed=n * n)
     chs = np.zeros(n_bins)
     chs[0] = p.sum()  # the diagonal pairs
-    lighter = np.empty((n, n_bins))
     pairs = 0
     start = 0
     # One XOR buffer for every block: a fresh multi-MB temporary per block
     # can be returned to the OS and faulted back in each time.
-    scratch = np.empty(min(n * n, max(PAIR_BLOCK_ELEMENTS, n)), dtype=np.uint64)
+    scratch = np.empty(max(PAIR_BLOCK_ELEMENTS, n), dtype=np.uint64)
     while start < n:
         # The largest stop with rows x columns = (stop - start) * stop
         # within the budget.
@@ -193,34 +183,15 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
         rows = stop - start
         dist = pairwise_distances(c[start:stop], c[:stop], scratch[:rows * stop])
         pairs += dist.size
-        if stop >= ROW_HISTOGRAM_COLUMNS:
-            light = np.empty((rows, n_bins))
-            near = np.empty((rows, width + 1), dtype=np.intp)
-            for r, (g, row) in enumerate(zip(gstart[start:stop].tolist(), dist)):
-                i = start + r
-                light[r] = np.bincount(row[:g], weights=p[:g], minlength=width + 1)[:n_bins]
-                near[r] = np.bincount(row[:g], minlength=width + 1)
-                if g < i:
-                    near[r] += 2 * np.bincount(row[g:i], minlength=width + 1)
-            chs += light.sum(axis=0) + p[start:stop] @ near[:, :n_bins]
-        else:
-            idx = np.minimum(dist, n_bins, dtype=np.intp)
-            # Columns before the block's first tie group are lighter for
-            # every row; only the rest needs the tie and triangle masks.
-            row = np.arange(start, stop)[:, None]
-            col = np.arange(gstart[start], stop)
-            rest = idx[:, gstart[start]:]
-            rest[(col >= gstart[row]) & (col < row) & (rest < n_bins)] += n_bins + 1
-            rest[col >= row] = n_bins
-            idx += np.arange(0, rows * stride, stride)[:, None]
-            flat = idx.ravel()
-            weights = np.broadcast_to(p[:stop], dist.shape).ravel()
-            mass = np.bincount(flat, weights=weights, minlength=rows * stride).reshape(rows, stride)
-            count = np.bincount(flat, minlength=rows * stride).reshape(rows, stride)
-            light = mass[:, :n_bins]
-            near_mass = light + mass[:, n_bins + 1:]
-            near_count = count[:, :n_bins] + count[:, n_bins + 1:]
-            chs += near_mass.sum(axis=0) + p[start:stop] @ near_count
+        light = np.empty((rows, n_bins))
+        near = np.empty((rows, width + 1), dtype=np.intp)
+        for r, (g, row) in enumerate(zip(gstart[start:stop].tolist(), dist)):
+            i = start + r
+            light[r] = np.bincount(row[:g], weights=p[:g], minlength=width + 1)[:n_bins]
+            near[r] = np.bincount(row[:g], minlength=width + 1)
+            if g < i:
+                near[r] += 2 * np.bincount(row[g:i], minlength=width + 1)
+        chs += light.sum(axis=0) + p[start:stop] @ near[:, :n_bins]
         lighter[order[start:stop]] = light  # back in the caller's order
         start = stop
     return PairHistograms(chs=chs, lighter=lighter, pairs_computed=pairs)

@@ -147,7 +147,8 @@ def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray,
     if not first.all():
         raise UsageError("an outcome appears more than once")
     codes, weights = codes[order], weights[order]
-    total = float(weights.sum(dtype=np.float64))  # an int64 sum could wrap
+    with np.errstate(over="ignore"):  # an overflow to inf fails the sum check below
+        total = float(weights.sum(dtype=np.float64))  # an int64 sum could wrap
     if kind == "counts" and total >= COUNT_LIMIT / 2 and sum(weights.tolist()) >= COUNT_LIMIT:
         raise UsageError("counts sum to 2**63 or more")
     if kind == "probabilities" and len(weights) and abs(total - 1.0) > PROB_SUM_TOL:

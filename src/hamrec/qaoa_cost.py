@@ -116,6 +116,8 @@ class QualityCurve:
 
 def _costs(g: CutGraph, codes: np.ndarray, width: int) -> np.ndarray:
     """Cut cost of each packed row of ``width`` bits; bit 0 maps to spin +1."""
+    if width != g.n_vertices:
+        raise UsageError(f"width mismatch: distribution {width}, graph {g.n_vertices}")
     spins = 1 - 2 * code_bits(codes, width).astype(np.int64)
     cost = np.zeros(len(codes))
     for u, v, w in g.edges:
@@ -157,8 +159,6 @@ def c_min(g: CutGraph, limit: int = BRUTE_FORCE_LIMIT) -> float:
 def expected_cost(g: CutGraph, d: Distribution) -> float:
     """Probability-weighted average cut cost, Σ_x p(x)·C(x)."""
     require_probabilities(d, "expected_cost")
-    if d.width != g.n_vertices:
-        raise UsageError(f"width mismatch: distribution {d.width}, graph {g.n_vertices}")
     if len(d) == 0:
         raise UsageError("expected_cost of an empty distribution is undefined")
     return float(_costs(g, d.codes, d.width) @ d.weights)

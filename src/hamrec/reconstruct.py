@@ -16,14 +16,11 @@ Counts inputs are normalized before step 1; the additive score seed makes
 the procedure scale-sensitive, so a canonical scale is fixed up front.
 Steps 1 and 3 share one pass over the pairs
 (:func:`hamrec.analysis.pair_histograms`): outcomes are sorted stably by
-ascending probability, each unordered pair's distance is computed once in
-the lower triangle, and tie groups of equal probability feed the CHS but
-not each other's scores. Small supports bin each block of distance rows
-at once, with masks that route ties and the upper triangle to separate
-bins; long rows are binned one at a time over contiguous column slices,
-which needs no masks or copies but pays a fixed cost per row, so the pass
-switches on the row length. The sort, the block order and the switch are
-fixed, which keeps results bit-reproducible run to run.
+ascending probability, so tie groups of equal probability feed the CHS but
+not each other's scores. A small support bins its whole distance square
+at once; a larger one computes each unordered pair once, in the lower
+triangle, and bins it row by row. The sort, the block order and the switch
+are fixed, which keeps results bit-reproducible run to run.
 """
 
 from __future__ import annotations

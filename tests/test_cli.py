@@ -1,11 +1,16 @@
+import contextlib
 import errno
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hamrec.core
 from hamrec import hammer, load_distribution, merit_report
@@ -410,3 +415,130 @@ class TestStrictOutputs:
         with pytest.raises(UsageError, match="JSON"):
             _emit_json({"cr": value}, None)
         assert capsys.readouterr().out == ""
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Flag values, written as ``--flag=value`` so that argparse never takes a
+# negative value for an option.
+FLAG_FLOATS = st.sampled_from([0.0, 0.02, 0.5, 1.0, -0.1, 1.5]) | st.floats(0, 1) | st.floats()
+WEIGHT_TEXTS = st.sampled_from([
+    "NaN", "Infinity", "-Infinity", "1e400", "1e308", "-1", "0", "0.5", "5e-324",
+    str(2 ** 63), str(10 ** 30), "true", '"1"', "null",
+])
+
+
+@st.composite
+def bitstrings(draw, width):
+    return format(draw(st.integers(min_value=0, max_value=2 ** width - 1)), f"0{width}b")
+
+
+@st.composite
+def distribution_texts(draw, width):
+    """JSON text of a counts map, a probability map or a map of wild weights."""
+    keys = draw(st.lists(bitstrings(width), min_size=1, max_size=6, unique=True))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:  # maybe a ragged key
+        keys.append(draw(bitstrings(draw(st.integers(min_value=1, max_value=130)))))
+    kind = draw(st.sampled_from(["counts", "probabilities", "wild"]))
+    if kind == "counts":
+        values = [str(draw(st.integers(min_value=0, max_value=10 ** 6))) for _ in keys]
+    elif kind == "probabilities":
+        raw = [draw(st.floats(min_value=1e-3, max_value=1.0)) for _ in keys]
+        values = [repr(v / sum(raw)) for v in raw]
+    else:
+        values = [draw(WEIGHT_TEXTS | st.floats().map(repr)) for _ in keys]
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in zip(keys, values)) + "}"
+
+
+@st.composite
+def graph_texts(draw, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+    weight = st.sampled_from(["1", "-2.5", "0.5"]) | st.floats(-9, 9).map(repr) | WEIGHT_TEXTS
+    weights = [draw(weight) for _ in edges]
+    items = ", ".join(f"[{u}, {v}, {w}]" for (u, v), w in zip(edges, weights))
+    return f'{{"n": {n}, "edges": [{items}]}}'
+
+
+OUTPUTS = ("out.json", "report.json")
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, {file name: text}) for one invocation of any subcommand.
+
+    File names in ``argv`` are relative to the directory the files are
+    written to; the names in ``OUTPUTS`` are the command's outputs.
+    """
+    command = draw(st.sampled_from(["synth", "reconstruct", "spectrum", "ehd", "metrics", "qaoa"]))
+    width = draw(st.integers(min_value=1, max_value=8) | st.integers(min_value=1, max_value=130))
+    files = {"in.json": draw(distribution_texts(width))}
+    correct = [f"--correct={draw(bitstrings(width))}"]
+    if command == "synth":
+        files = {}
+        argv = ["synth", f"--key={draw(bitstrings(width))}",
+                f"--flip={draw(FLAG_FLOATS)}",
+                f"--trials={draw(st.integers(min_value=-2, max_value=300))}",
+                f"--seed={draw(st.integers(min_value=-2, max_value=2 ** 70))}"]
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            mask = draw(bitstrings(draw(st.sampled_from([width, width + 1]))))
+            argv.append(f"--corr={mask}:{draw(FLAG_FLOATS)}")
+    elif command == "reconstruct":
+        argv = ["reconstruct", "--input=in.json"]
+        if draw(st.booleans()):
+            argv.append("--report=report.json")
+    elif command == "spectrum":
+        argv = ["spectrum", "--input=in.json", *correct] + draw(st.sampled_from([[], ["--csv"]]))
+    elif command == "ehd":
+        mode = draw(st.sampled_from(["normalized", "raw"]))
+        argv = ["ehd", "--input=in.json", *correct, f"--mode={mode}"]
+    elif command == "metrics":
+        if draw(st.booleans()):
+            files["after.json"] = draw(distribution_texts(width))
+            argv = ["metrics", "--before=in.json", "--after=after.json", *correct]
+        else:
+            argv = ["metrics", "--input=in.json", *correct]
+        if draw(st.booleans()):
+            files["ref.json"] = draw(distribution_texts(width))
+            argv.append("--reference=ref.json")
+    else:
+        n = draw(st.just(width) | st.integers(min_value=1, max_value=8))
+        files["graph.json"] = draw(graph_texts(n))
+        argv = ["qaoa", "--graph=graph.json", "--counts=in.json"]
+        if n > 12 or draw(st.booleans()):  # no brute-force c_min above 12 vertices
+            argv.append(f"--cmin={draw(st.sampled_from([-1.0, -3.5]) | FLAG_FLOATS)}")
+        if draw(st.booleans()):
+            argv.append("--csv")
+    if draw(st.booleans()):
+        argv.append("--output=out.json")
+    return argv, files
+
+
+class TestCliContract:
+    """Every subcommand, on generated flags and files: an exit code of 0, 1
+    or 2, a ``hamrec: error:`` message or nothing on stderr, and strict
+    JSON in every JSON output."""
+
+    @settings(max_examples=300)
+    @given(cli_calls())
+    def test_exit_codes_messages_and_strict_json(self, call):
+        argv, files = call
+        with tempfile.TemporaryDirectory() as name:
+            tmp = pathlib.Path(name)
+            for file, text in files.items():
+                (tmp / file).write_text(text, encoding="utf-8")
+            argv = [a.replace("=", f"={tmp}{os.sep}", 1) if a.endswith(".json") else a for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            written = [(tmp / file).read_text(encoding="utf-8") for file in OUTPUTS if (tmp / file).exists()]
+        assert code in (0, 1, 2)
+        assert err.getvalue() == "" or err.getvalue().startswith("hamrec: error:")
+        if code != 0:
+            assert out.getvalue() == "" and not written
+            return
+        if "--csv" not in argv:  # a CSV output is not JSON
+            for text in filter(None, [*written, out.getvalue()]):
+                json.loads(text, parse_constant=_reject_constant)

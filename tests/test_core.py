@@ -440,6 +440,14 @@ class TestArrayValidator:
         with pytest.raises(UsageError):
             hammer(Distribution(2, {"00": 10**400, "01": 1}))
 
+    def test_probability_sum_beyond_float_range(self):
+        # Finite weights whose sum overflows fail the sum check, without a
+        # numpy overflow warning.
+        with pytest.raises(UsageError, match="sum to inf"):
+            Distribution(1, {"0": 1e308, "1": 1e308}, kind="probabilities")
+        with pytest.raises(ParseError, match="sum to inf"):
+            distribution_from_json_obj({"0": 1e308, "1": 1e308})
+
     @pytest.mark.parametrize("width", ["2", 2.0, True, 0, -1, None])
     def test_width_must_be_a_positive_integer(self, width):
         with pytest.raises(UsageError, match="width"):

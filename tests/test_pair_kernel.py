@@ -67,37 +67,31 @@ def test_hammer_and_global_chs_match_oracles(case):
     assert_matches_oracles(*case)
 
 
-@pytest.mark.parametrize("budget, columns", [
-    pytest.param(budget, columns, id=f"{budget}{suffix}")
-    for budget in (1, 7, 64)
-    for columns, suffix in ((1 << 30, ""), (1, "-per-row"))
-])
+@pytest.mark.parametrize("budget", [1, 7, 64])
 @given(case=count_maps())
-def test_small_blocks_match_oracles(budget, columns, case):
+def test_small_blocks_match_oracles(budget, case):
     # Blocks of one or a few rows cut the tie groups at block boundaries;
-    # ``columns`` (ROW_HISTOGRAM_COLUMNS) bins every block at once or, at
-    # 1, every block row by row.
+    # supports of fewer than ``budget`` pairs are binned as one square.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hamrec.analysis, "PAIR_BLOCK_ELEMENTS", budget)
-        mp.setattr(hamrec.analysis, "ROW_HISTOGRAM_COLUMNS", columns)
         assert_matches_oracles(*case)
 
 
 def test_blocks_on_both_sides_of_the_row_switch(monkeypatch):
-    # At a quarter of the default budget the blocks end at columns 256,
-    # 414, 536, 638 and 700: the first two are binned at once and the rest
-    # row by row at the real ROW_HISTOGRAM_COLUMNS.
+    # At a quarter of the default budget the first 255 outcomes (65 025
+    # pairs) are binned as one square and the first 256 row by row, in one
+    # block; the blocks of all 700 end at columns 256, 414, 536, 638, 700.
     monkeypatch.setattr(hamrec.analysis, "PAIR_BLOCK_ELEMENTS", 1 << 16)
     rng = random.Random(7)
     keys = set()
     while len(keys) < 700:
         keys.add(format(rng.getrandbits(16), "016b"))
-    counts = {k: rng.choice([2, 3, 5]) for k in sorted(keys)}
-    assert 414 < hamrec.analysis.ROW_HISTOGRAM_COLUMNS <= 536
-    assert_matches_oracles(16, counts)
-    # The block schedule, and so the work done, is that of a single binning
-    # path: the sum of rows x columns over the blocks.
-    assert hammer(from_counts(counts)).pairs_computed == 304_816
+    items = [(k, rng.choice([2, 3, 5])) for k in sorted(keys)]
+    # The work done is the sum of rows x columns over the blocks.
+    for n, pairs in ((255, 255 * 255), (256, 256 * 256), (700, 304_816)):
+        counts = dict(items[:n])
+        assert_matches_oracles(16, counts)
+        assert hammer(from_counts(counts)).pairs_computed == pairs
 
 
 @given(count_maps())

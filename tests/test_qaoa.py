@@ -258,6 +258,12 @@ class TestQualityCurve:
         assert all(a <= b + 1e-15 for a, b in zip(cums, cums[1:]))
         assert cums[-1] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("key", ["01101", "01"])
+    def test_width_mismatch(self, key):
+        d = Distribution(len(key), {key: 1.0}, kind="probabilities")
+        with pytest.raises(UsageError, match="width mismatch"):
+            quality_curve(TRIANGLE, d)
+
 
 class TestGraphJson:
     def test_weight_defaults_to_one(self):
