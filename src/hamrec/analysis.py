@@ -142,14 +142,24 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
       and ``lighter`` one more, with the columns from ``gstart[i]`` on sent
       to a dump bin.
     * A larger support computes only the lower triangle, in row blocks of
-      about ``PAIR_BLOCK_ELEMENTS`` pairs, and bins each row over
-      contiguous slices: ``row[:g]`` with the weights ``p[:g]`` gives the
-      lighter histogram, and the counts of ``row[:g]`` plus twice those of
-      ``row[g:i]`` give the pair counts. A tie counts twice because its
-      mass p_j = p_i is not in the lighter histogram.
+      about ``PAIR_BLOCK_ELEMENTS`` pairs, and bins each row's columns
+      ``[:i]`` in one of two ways, chosen per block from the input:
 
-    Both paths add a row's lighter masses in column order, so ``lighter``
-    does not depend on the path; the CHS sums may differ in the last bits.
+      - by column: ``row[:g]`` with the weights ``p[:g]`` gives the lighter
+        histogram, and the counts of ``row[:g]`` plus twice those of
+        ``row[g:i]`` give the pair counts. A tie counts twice because its
+        mass p_j = p_i is not in the lighter histogram.
+      - by (tie group, distance), when the block's columns hold so few tie
+        groups that this histogram is at most half a row
+        (``groups * (width + 1) <= stop // 2``), as in counts inputs where
+        most outcomes share a count. Within a group the weight is one
+        constant, so one unweighted bincount per row gives both the pair
+        counts and, times the groups' probabilities, the lighter masses;
+        the column path visits each lighter column twice.
+
+    The paths add the same terms in different orders, so ``lighter`` and
+    the CHS may differ between them in the last bits. The path of each
+    block depends only on the input, so results are bit-reproducible.
     """
     n_bins = chs_length(width)
     n = codes.shape[0]
@@ -170,6 +180,11 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
         return PairHistograms(chs=chs, lighter=lighter, pairs_computed=n * n)
     chs = np.zeros(n_bins)
     chs[0] = p.sum()  # the diagonal pairs
+    # A tie group starts at each column whose probability differs from the
+    # one before. The group numbers and probabilities are built at the first
+    # block binned by them, so supports of distinct weights allocate none.
+    new_group = p[1:] != p[:-1]
+    group = p_group = None
     pairs = 0
     start = 0
     # One XOR buffer for every block: a fresh multi-MB temporary per block
@@ -183,18 +198,53 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
         rows = stop - start
         dist = pairwise_distances(c[start:stop], c[:stop], scratch[:rows * stop])
         pairs += dist.size
-        light = np.empty((rows, n_bins))
-        near = np.empty((rows, width + 1), dtype=np.intp)
-        for r, (g, row) in enumerate(zip(gstart[start:stop].tolist(), dist)):
-            i = start + r
-            light[r] = np.bincount(row[:g], weights=p[:g], minlength=width + 1)[:n_bins]
-            near[r] = np.bincount(row[:g], minlength=width + 1)
-            if g < i:
-                near[r] += 2 * np.bincount(row[g:i], minlength=width + 1)
+        groups = 1 + np.count_nonzero(new_group[:stop - 1])
+        if groups * (width + 1) <= stop // 2:
+            if group is None:
+                group = np.concatenate(([0], np.cumsum(new_group)))
+                p_group = np.unique(p)
+            light, near = _bin_by_tie_group(dist, start, group, p_group[:groups], width, scratch)
+        else:
+            light = np.empty((rows, n_bins))
+            near = np.empty((rows, width + 1), dtype=np.intp)
+            for r, (g, row) in enumerate(zip(gstart[start:stop].tolist(), dist)):
+                i = start + r
+                light[r] = np.bincount(row[:g], weights=p[:g], minlength=width + 1)[:n_bins]
+                near[r] = np.bincount(row[:g], minlength=width + 1)
+                if g < i:
+                    near[r] += 2 * np.bincount(row[g:i], minlength=width + 1)
         chs += light.sum(axis=0) + p[start:stop] @ near[:, :n_bins]
         lighter[order[start:stop]] = light  # back in the caller's order
         start = stop
     return PairHistograms(chs=chs, lighter=lighter, pairs_computed=pairs)
+
+
+def _bin_by_tie_group(dist, start, group, p_group, width, scratch):
+    """``(light, near)`` of a row block whose columns hold few tie groups.
+
+    Row r of ``dist`` is outcome ``start + r``; its columns before the
+    diagonal are keyed by (tie group, distance) and counted with one
+    unweighted bincount. The keys overwrite ``scratch``, which holds
+    nothing live once ``dist`` is computed. ``near`` counts a lighter
+    column once and a tie twice. ``light`` weights the lighter groups'
+    counts by their probability after the row's own group is zeroed: taking
+    the ties back out of a sum would lose the lighter mass when ties
+    dominate it.
+    """
+    rows, stop = dist.shape
+    n_bins = chs_length(width)
+    size = p_group.size * (width + 1)
+    key_type = np.min_scalar_type(size - 1)
+    keys = scratch.view(key_type)[:dist.size].reshape(rows, stop)
+    np.add(dist, (group[:stop] * (width + 1)).astype(key_type), out=keys, dtype=key_type)
+    counts = np.empty((rows, size), dtype=np.intp)
+    for r, row in enumerate(keys):
+        counts[r] = np.bincount(row[:start + r], minlength=size)
+    counts = counts.reshape(rows, p_group.size, width + 1)[:, :, :n_bins]
+    own = (np.arange(rows), group[start:start + rows])
+    near = counts.sum(axis=1) + counts[own]
+    counts[own] = 0
+    return np.einsum("rgd,g->rd", counts, p_group), near
 
 
 def global_chs(d: Distribution) -> ChsVector:

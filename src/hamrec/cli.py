@@ -42,11 +42,11 @@ log = logging.getLogger("hamrec")
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; the contract here reserves 2 for
-    data errors, so usage failures are remapped to exit code 1."""
+    data errors, so usage failures are remapped to exit code 1, and their
+    message comes first, as ``hamrec: error:`` like every other failure."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"hamrec: error: {message}\n{self.format_usage()}")
 
 
 def _ensure_writable(*paths: str | None) -> None:
@@ -277,9 +277,7 @@ def main(argv=None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         if not args.subcommand:
-            parser.print_usage(sys.stderr)
-            print("hamrec: error: a subcommand is required", file=sys.stderr)
-            return 1
+            parser.error("a subcommand is required")
         _ensure_writable(args.output, getattr(args, "report", None))
         logging.basicConfig(
             stream=sys.stderr,

@@ -19,8 +19,10 @@ Steps 1 and 3 share one pass over the pairs
 ascending probability, so tie groups of equal probability feed the CHS but
 not each other's scores. A small support bins its whole distance square
 at once; a larger one computes each unordered pair once, in the lower
-triangle, and bins it row by row. The sort, the block order and the switch
-are fixed, which keeps results bit-reproducible run to run.
+triangle, and bins it row by row: by column, or, in blocks whose columns
+hold few tie groups (counts inputs), with one count per (tie group,
+distance). The sort, the block order and both switches depend only on the
+input, which keeps results bit-reproducible run to run.
 """
 
 from __future__ import annotations

@@ -47,6 +47,23 @@ class TestTopLevel:
         assert main(["--help"]) == 0
         assert main(["reconstruct", "--help"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["synth", "--seed", "x"],
+        ["qaoa", "--graph", "g", "--counts", "c", "--cmin", "-inf"],
+        ["synth", "--key", "01", "--bogus"],
+    ], ids=["no-subcommand", "unknown-subcommand", "bad-int", "option-like-value",
+            "unknown-flag"])
+    def test_argparse_errors_start_with_prefix(self, argv, capsys):
+        # argparse's own failures follow the contract of every other one:
+        # exit 1, nothing on stdout, the message first and the usage after.
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hamrec: error: ")
+        assert "usage:" in captured.err
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "hamrec", "--version"],

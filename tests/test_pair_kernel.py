@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hamrec.analysis
@@ -121,6 +121,53 @@ def test_pairs_computed_between_triangle_and_square(budget, case):
     assert n * (n + 1) // 2 <= rep.pairs_computed <= n * n
     assert rep.pair_evaluations_step1 == rep.pair_evaluations_step3 == n * n
     assert rep.normalization_steps == n
+
+
+@st.composite
+def tied_count_maps(draw):
+    """(width, {bitstring: count}, budget) with 2-6 light count levels and a
+    tail of distinct heavy counts.
+
+    The light levels come first in the sorted order, in few tie groups,
+    so their blocks are binned by (tie group, distance); each tail count
+    is a group of its own, so the last block has more groups than half its
+    columns hold and falls back to binning by column.
+    """
+    width = draw(st.sampled_from([*range(4, 17), 65, 130]))
+    size = min(draw(st.integers(min_value=100, max_value=400)), 2 ** width)
+    codes = draw(st.lists(st.integers(min_value=0, max_value=2 ** width - 1),
+                          min_size=size, max_size=size, unique=True))
+    levels = draw(st.lists(st.integers(min_value=1, max_value=50),
+                           min_size=2, max_size=6, unique=True))
+    n_tail = size // (width + 1) + 1
+    n_tail = draw(st.integers(min_value=n_tail, max_value=max(n_tail, size // 4)))
+    light = draw(st.lists(st.sampled_from(levels), min_size=size - n_tail, max_size=size - n_tail))
+    heavy = draw(st.lists(st.integers(min_value=100, max_value=10_000),
+                          min_size=n_tail, max_size=n_tail, unique=True))
+    counts = {format(c, f"0{width}b"): k for c, k in zip(codes, light + heavy)}
+    return width, counts, draw(st.sampled_from([1, 64, 1 << 10]))
+
+
+def _multi_word_crossing():
+    # One row per block: the rows of the 300 outcomes of count 1 and the 20
+    # of count 2 are binned by (tie group, distance) from the 132nd row on,
+    # and the rows of the ten distinct heavy counts by column.
+    rng = random.Random(11)
+    keys = set()
+    while len(keys) < 330:
+        keys.add(format(rng.getrandbits(65), "065b"))
+    counts = [1] * 300 + [2] * 20 + list(range(100, 110))
+    return 65, dict(zip(sorted(keys), counts)), 1
+
+
+@settings(max_examples=20)
+@example(_multi_word_crossing())
+@given(tied_count_maps())
+def test_tie_group_and_column_blocks_match_oracles(case):
+    width, counts, budget = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hamrec.analysis, "PAIR_BLOCK_ELEMENTS", budget)
+        assert_matches_oracles(width, counts)
 
 
 def test_one_large_tie_group_across_many_blocks(monkeypatch):
