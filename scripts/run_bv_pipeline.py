@@ -8,7 +8,6 @@ a weak bit-flip channel plus one correlated 2-bit error.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from hamrec import (
     NoiseModel,
@@ -23,28 +22,25 @@ from hamrec import (
 )
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    key: str = "1010101010"
-    flip: float = 0.02
-    correlated: tuple = (("0000110000", 0.2),)
-    trials: int = 32768
-    seed: int = 42
-
-
-def run(cfg: PipelineConfig) -> None:
-    ideal = ideal_bv(cfg.key)
+def run(args: argparse.Namespace) -> None:
+    if args.corr is None:
+        correlated = (("0000110000", 0.2),) if args.key == "1010101010" else ()
+    else:
+        correlated = tuple(
+            (m, float(p)) for m, _, p in (c.rpartition(":") for c in args.corr)
+        )
+    ideal = ideal_bv(args.key)
     model = NoiseModel(
-        per_bit_flip=cfg.flip, correlated_errors=cfg.correlated, seed=cfg.seed
+        per_bit_flip=args.flip, correlated_errors=correlated, seed=args.seed
     )
-    counts = sample_noisy(ideal, model, cfg.trials)
+    counts = sample_noisy(ideal, model, args.trials)
     noisy = normalize(counts)
     report = hammer(counts)
     recon = report.output
-    correct = {cfg.key}
+    correct = {args.key}
 
-    print(f"key={cfg.key}  trials={cfg.trials}  flip={cfg.flip}  seed={cfg.seed}")
-    for mask, q in cfg.correlated:
+    print(f"key={args.key}  trials={args.trials}  flip={args.flip}  seed={args.seed}")
+    for mask, q in correlated:
         print(f"correlated error {mask} @ {q}")
     print(f"observed outcomes: {len(noisy)}")
     print()
@@ -71,23 +67,7 @@ def main() -> None:
     )
     parser.add_argument("--trials", type=int, default=32768)
     parser.add_argument("--seed", type=int, default=42)
-    args = parser.parse_args()
-
-    if args.corr is None:
-        correlated = (("0000110000", 0.2),) if args.key == "1010101010" else ()
-    else:
-        correlated = tuple(
-            (m, float(p)) for m, _, p in (c.rpartition(":") for c in args.corr)
-        )
-    run(
-        PipelineConfig(
-            key=args.key,
-            flip=args.flip,
-            correlated=correlated,
-            trials=args.trials,
-            seed=args.seed,
-        )
-    )
+    run(parser.parse_args())
 
 
 if __name__ == "__main__":

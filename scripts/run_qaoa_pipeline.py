@@ -7,7 +7,6 @@ and cumulative quality curve before and after.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from hamrec import (
     CutGraph,
@@ -23,30 +22,22 @@ from hamrec import (
 )
 
 
-@dataclass(frozen=True)
-class QaoaConfig:
-    n_vertices: int = 8
-    flip: float = 0.06
-    trials: int = 16384
-    seed: int = 7
-
-
 def ring(n: int) -> CutGraph:
     return CutGraph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
 
 
-def run(cfg: QaoaConfig) -> None:
-    graph = ring(cfg.n_vertices)
+def run(args: argparse.Namespace) -> None:
+    graph = ring(args.vertices)
     # an alternating assignment cuts every edge of an even ring
-    optimal = "01" * (cfg.n_vertices // 2) + "0" * (cfg.n_vertices % 2)
-    model = NoiseModel(per_bit_flip=cfg.flip, seed=cfg.seed)
-    counts = sample_noisy(ideal_bv(optimal), model, cfg.trials)
+    optimal = "01" * (args.vertices // 2) + "0" * (args.vertices % 2)
+    model = NoiseModel(per_bit_flip=args.flip, seed=args.seed)
+    counts = sample_noisy(ideal_bv(optimal), model, args.trials)
     noisy = normalize(counts)
     recon = hammer(counts).output
     cmin = c_min(graph)
 
-    print(f"ring graph n={cfg.n_vertices}  c_min={cmin}  "
-          f"flip={cfg.flip}  trials={cfg.trials}  seed={cfg.seed}")
+    print(f"ring graph n={args.vertices}  c_min={cmin}  "
+          f"flip={args.flip}  trials={args.trials}  seed={args.seed}")
     print()
     print(f"{'quantity':<16}{'noisy':>12}{'reconstructed':>16}")
     print(f"{'<C>':<16}{expected_cost(graph, noisy):>12.4f}"
@@ -65,15 +56,7 @@ def main() -> None:
     parser.add_argument("--flip", type=float, default=0.06)
     parser.add_argument("--trials", type=int, default=16384)
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-    run(
-        QaoaConfig(
-            n_vertices=args.vertices,
-            flip=args.flip,
-            trials=args.trials,
-            seed=args.seed,
-        )
-    )
+    run(parser.parse_args())
 
 
 if __name__ == "__main__":

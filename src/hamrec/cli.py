@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -29,7 +30,6 @@ from .core import (
     as_probabilities,
     distribution_to_json,
     load_distribution,
-    save_distribution,
     write_files,
 )
 from .metrics import merit_report
@@ -78,12 +78,16 @@ def _emit(*outputs: tuple[str, str | None]) -> None:
             sys.stdout.write(text)
 
 
-def _emit_json(obj, path: str | None) -> None:
+def _json_text(obj) -> str:
+    """``obj`` as indented JSON text; NaN or an infinity is a UsageError."""
     try:
-        text = json.dumps(obj, indent=2, allow_nan=False)
-    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:  # JSON cannot hold NaN or an infinity
         raise UsageError(f"result cannot be written as JSON: {exc}") from None
-    _emit((text, path))
+
+
+def _emit_json(obj, path: str | None) -> None:
+    _emit((_json_text(obj), path))
 
 
 def _correct_set(values: list[str]) -> set[str]:
@@ -110,21 +114,18 @@ def _cmd_reconstruct(args) -> int:
     log.info("reconstructed in %.3fs", wall)
     outputs = [(distribution_to_json(rep.output), args.output)]
     if args.report:
-        report = json.dumps(
-            {
-                "width": d.width,
-                "n_outcomes": len(d),
-                "chs": rep.chs.values.tolist(),
-                "weights": rep.weights.values.tolist(),
-                "pair_evaluations_step1": rep.pair_evaluations_step1,
-                "pair_evaluations_step3": rep.pair_evaluations_step3,
-                "normalization_steps": rep.normalization_steps,
-                "pairs_computed": rep.pairs_computed,
-                "wall_time_s": wall,
-            },
-            indent=2,
-        )
-        outputs.append((report, args.report))
+        report = {
+            "width": d.width,
+            "n_outcomes": len(d),
+            "chs": rep.chs.values.tolist(),
+            "weights": rep.weights.values.tolist(),
+            "pair_evaluations_step1": rep.pair_evaluations_step1,
+            "pair_evaluations_step3": rep.pair_evaluations_step3,
+            "normalization_steps": rep.normalization_steps,
+            "pairs_computed": rep.pairs_computed,
+            "wall_time_s": wall,
+        }
+        outputs.append((_json_text(report), args.report))
     _emit(*outputs)
     return 0
 
@@ -147,9 +148,9 @@ def _cmd_ehd(args) -> int:
 
 
 def _ratio(num: float, den: float) -> float | None:
-    if den == 0.0 or num != num or den != den or num == float("inf") or den == float("inf"):
-        return None
-    return num / den
+    """``num / den`` of two finite numbers, or None when it is not finite."""
+    q = num / den if den and math.isfinite(den) else math.nan
+    return q if math.isfinite(q) else None
 
 
 def _cmd_metrics(args) -> int:
@@ -202,10 +203,7 @@ def _cmd_synth(args) -> int:
     )
     counts = sample_noisy(ideal_bv(args.key), model, args.trials)
     log.info("sampled %d trials onto %d outcomes", args.trials, len(counts))
-    if args.output in (None, "-"):
-        _emit((distribution_to_json(counts), None))
-    else:
-        save_distribution(counts, args.output)
+    _emit((distribution_to_json(counts), args.output))
     return 0
 
 
@@ -273,17 +271,18 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    # Each call logs to the sys.stderr of that call, at its own -v level.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    level = log.level
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
         if not args.subcommand:
             parser.error("a subcommand is required")
         _ensure_writable(args.output, getattr(args, "report", None))
-        logging.basicConfig(
-            stream=sys.stderr,
-            level=max(logging.WARNING - 10 * args.verbose, logging.DEBUG),
-            format="%(levelname)s %(message)s",
-        )
+        log.addHandler(handler)
+        log.setLevel(max(logging.WARNING - 10 * args.verbose, logging.DEBUG))
         return _HANDLERS[args.subcommand](args)
     except SystemExit as exc:
         code = exc.code
@@ -302,6 +301,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print("hamrec: error: out of memory", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -171,8 +171,9 @@ class Distribution:
     ``entries`` maps width-n bitstrings to finite, non-negative real
     weights (not ``bool``): integers for kind="counts", each and in total
     below 2**63, or reals for kind="probabilities" that sum to 1 within
-    ``PROB_SUM_TOL``. Anything else raises :class:`UsageError` naming the
-    first bad entry in the map's order. Zero-weight entries are dropped.
+    ``PROB_SUM_TOL``. Anything else, a non-mapping ``entries`` included,
+    raises :class:`UsageError` naming the first bad entry in the map's
+    order. Zero-weight entries are dropped.
 
     A distribution is immutable. It holds two read-only arrays: ``codes``,
     the outcomes packed as by :func:`pack_outcomes` in ascending order
@@ -196,8 +197,10 @@ class Distribution:
         width = int(width)
         global _last_entries
         _last_entries = (None, None)  # see ``entries``
-        if not isinstance(entries, _Packed):
-            entries = _map_arrays({} if entries is None else entries, width, kind)
+        if entries is None or isinstance(entries, Mapping):
+            entries = _map_arrays(entries or {}, width, kind)
+        elif not isinstance(entries, _Packed):
+            raise UsageError(f"entries must be a mapping, got {type(entries).__name__}")
         codes, weights = _checked_arrays(entries, width, kind)
         for name, value in (("width", width), ("kind", kind), ("codes", codes), ("weights", weights)):
             object.__setattr__(self, name, value)

@@ -115,13 +115,13 @@ class QualityCurve:
 
 
 def _costs(g: CutGraph, codes: np.ndarray, width: int) -> np.ndarray:
-    """Cut cost of each packed row of ``width`` bits; bit 0 maps to spin +1."""
+    """Cut cost of each packed row of ``width`` bits: -w per cut edge, else +w."""
     if width != g.n_vertices:
         raise UsageError(f"width mismatch: distribution {width}, graph {g.n_vertices}")
-    spins = 1 - 2 * code_bits(codes, width).astype(np.int64)
+    bits = code_bits(codes, width)
     cost = np.zeros(len(codes))
     for u, v, w in g.edges:
-        cost += w * spins[:, u] * spins[:, v]
+        cost += np.where(bits[:, u] == bits[:, v], w, -w)
     return cost
 
 
@@ -165,14 +165,12 @@ def expected_cost(g: CutGraph, d: Distribution) -> float:
 
 
 def _resolved_c_min(g: CutGraph, c_min_override: float | None) -> float:
-    if c_min_override is None:
-        cmin = c_min(g)
-    else:
-        cmin = float(c_min_override)
-        if not math.isfinite(cmin) or cmin == 0.0:
-            raise UsageError(f"C_min override must be finite and non-zero, got {cmin!r}")
-    if cmin == 0.0:
-        raise UsageError("C_min is zero (edgeless graph?); cost ratio is undefined")
+    cmin = c_min(g) if c_min_override is None else float(c_min_override)
+    if not (math.isfinite(cmin) and cmin != 0.0):
+        raise UsageError(
+            f"C_min must be finite and non-zero for a cost ratio, got {cmin!r} "
+            "(an edgeless graph has C_min 0)"
+        )
     return cmin
 
 

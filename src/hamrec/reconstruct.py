@@ -14,15 +14,10 @@ cluster around correct answers while diffuse noise does not:
 
 Counts inputs are normalized before step 1; the additive score seed makes
 the procedure scale-sensitive, so a canonical scale is fixed up front.
-Steps 1 and 3 share one pass over the pairs
-(:func:`hamrec.analysis.pair_histograms`): outcomes are sorted stably by
-ascending probability, so tie groups of equal probability feed the CHS but
-not each other's scores. A small support bins its whole distance square
-at once; a larger one computes each unordered pair once, in the lower
-triangle, and bins it row by row: by column, or, in blocks whose columns
-hold few tie groups (counts inputs), with one count per (tie group,
-distance). The sort, the block order and both switches depend only on the
-input, which keeps results bit-reproducible run to run.
+Steps 1 and 3 share one pass over the pairs,
+:func:`hamrec.analysis.pair_histograms`, whose docstring describes how it
+bins them; tie groups of equal probability feed the CHS but not each
+other's scores.
 """
 
 from __future__ import annotations
@@ -74,9 +69,13 @@ class ReconstructionReport:
 
 
 def weights_from_chs(chs: ChsVector) -> WeightVector:
-    """Invert a strength vector with a zero guard: W[d] = 1/CHS[d] or 0."""
+    """Invert a strength vector with a zero guard: W[d] = 1/CHS[d] or 0.
+
+    A subnormal CHS[d] gives W[d] = inf.
+    """
     values = np.zeros_like(chs.values)
-    np.divide(1.0, chs.values, out=values, where=chs.values > 0)
+    with np.errstate(over="ignore"):
+        np.divide(1.0, chs.values, out=values, where=chs.values > 0)
     return WeightVector(width=chs.width, values=values)
 
 
@@ -120,7 +119,10 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
     chs = ChsVector(width=d.width, values=pairs.chs, pair_evaluations=n * n)
     weights = weights_from_chs(chs)
 
-    scores = probs + pairs.lighter @ weights.values
+    # Each score term W[d] * lighter[i, d] as lighter[i, d] / CHS[d], which
+    # cannot overflow (lighter[i, d] <= CHS[d]) where W[d] may be inf.
+    terms = np.divide(pairs.lighter, pairs.chs, out=pairs.lighter, where=pairs.chs > 0)
+    scores = probs + terms.sum(axis=1)
     raw = scores * probs
     out_probs = np.maximum(raw / raw.sum(), np.finfo(float).smallest_subnormal)
     output = Distribution(width=d.width, entries=_Packed(d.codes, out_probs), kind="probabilities")

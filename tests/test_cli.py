@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import logging
 import os
 import pathlib
 import subprocess
@@ -93,6 +94,27 @@ class TestReconstructCommand:
         assert rep["normalization_steps"] == n
         assert len(rep["chs"]) == len(rep["weights"]) == 5
         assert rep["wall_time_s"] >= 0.0
+
+    def test_report_with_infinite_weight_writes_nothing(self, tmp_path, capsys):
+        # CHS[1] = 1e-323 makes W[1] = inf, which the report cannot hold.
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps({"0000": 1.0, "0011": 5e-324, "0111": 5e-324}))
+        out, report = tmp_path / "out.json", tmp_path / "report.json"
+        argv = ["reconstruct", "--input", str(src), "--output", str(out)]
+        assert main([*argv, "--report", str(report)]) == 1
+        assert "result cannot be written as JSON" in capsys.readouterr().err
+        assert not out.exists() and not report.exists()
+        assert main(argv) == 0
+        assert load_distribution(out).entries["0000"] == 1.0
+
+    def test_verbose_logs_on_every_call(self, counts_file, capsys):
+        assert main(["reconstruct", "--input", str(counts_file)]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "-v", "--input", str(counts_file)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split()[:2] for line in lines] == [["INFO", "loaded"],
+                                                        ["INFO", "reconstructed"]]
+        assert not logging.getLogger("hamrec").handlers
 
     def test_stdout_when_no_output_given(self, counts_file, capsys):
         assert main(["reconstruct", "--input", str(counts_file)]) == 0
@@ -287,6 +309,18 @@ class TestMetricsCommand:
     def test_needs_some_input(self):
         assert main(["metrics", "--correct", "1"]) == 1
 
+    def test_overflowing_ratios_are_null(self, tmp_path, capsys):
+        before = tmp_path / "before.json"
+        before.write_text(json.dumps({"01": 1.0, "10": 5e-324}))
+        after = tmp_path / "after.json"
+        after.write_text(json.dumps({"01": 0.5, "10": 0.5}))
+        assert main(
+            ["metrics", "--before", str(before), "--after", str(after), "--correct", "10"]
+        ) == 0
+        payload = read_json(capsys)
+        assert payload["pst_ratio"] is None  # 0.5 / 5e-324 overflows
+        assert payload["ist_ratio"] is None
+
     def test_infinite_ist_ratio_is_null(self, tmp_path, capsys):
         delta = tmp_path / "delta.json"
         delta.write_text(json.dumps({"11": 4}))
@@ -411,6 +445,15 @@ class TestStrictOutputs:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("hamrec: error:")
+
+    def test_edgeless_graph_needs_cmin(self, tmp_path, inputs, capsys):
+        graph = tmp_path / "edgeless.json"
+        graph.write_text(json.dumps({"n": 3, "edges": []}))
+        assert main(["qaoa", "--graph", str(graph), "--counts", str(inputs[1])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "hamrec: error: C_min must be finite and non-zero for a cost ratio, got 0.0")
 
     def test_out_of_memory_is_exit_1(self, capsys, monkeypatch):
         def exhausted(*args):

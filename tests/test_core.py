@@ -156,6 +156,7 @@ MALFORMED = {
     "nan weight": {"01": float("nan")},
     "negative weight": {"01": -1},
     "non-integer count": {"00": 1.5, "01": 2},
+    "list of pairs": [("01", 1)],
 }
 
 

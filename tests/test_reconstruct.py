@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from conftest import random_distribution
 from oracles import hammer_oracle, score_oracle
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+# A tied pair of the smallest subnormal at distance 1: CHS[1] is subnormal.
+SUBNORMAL_TIES = {"0000": 1.0, "0011": 5e-324, "0111": 5e-324}
 
 FOUR_OUTCOME = Distribution(
     width=3,
@@ -121,6 +125,30 @@ class TestHammer:
         d = Distribution(2, {"00": 1e-320, "01": 1 - 1e-320}, kind="probabilities")
         out = hammer(d).output.entries
         assert out == {"00": np.finfo(float).smallest_subnormal, "01": 1.0}
+
+    def test_subnormal_chs_bin_matches_oracle(self):
+        # CHS[1] = 1e-323, so W[1] = 1/CHS[1] is inf; the tied pair at
+        # distance 1 adds nothing to either score, which must not be NaN.
+        d = Distribution(4, SUBNORMAL_TIES, kind="probabilities")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow or 0 * inf on the way
+            rep = hammer(d)
+        assert rep.weights.values[1] == np.inf
+        tiny = np.finfo(float).smallest_subnormal
+        expected = {k: max(v, tiny) for k, v in hammer_oracle(d.entries, 4).items()}
+        assert rep.output.entries == expected == {"0000": 1.0, "0011": tiny, "0111": tiny}
+
+    def test_subnormal_chs_bin_with_a_lighter_neighbour(self):
+        # 0111 scores 3e-309 + 2e-309 / 5e-309, so its output is 0.4 * 3e-309;
+        # the oracle's 1/CHS[1] * 2e-309 is inf * 2e-309 there, NaN after
+        # normalizing.
+        d = Distribution(4, {"0000": 1.0, "0011": 2e-309, "0111": 3e-309},
+                         kind="probabilities")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = hammer(d).output.entries
+        tiny = np.finfo(float).smallest_subnormal
+        assert out == {"0000": 1.0, "0011": tiny, "0111": 1.2e-309}
 
     @given(
         st.integers(min_value=1, max_value=8).flatmap(
