@@ -11,6 +11,7 @@ import argparse
 
 from hamrec import (
     NoiseModel,
+    UsageError,
     ehd,
     hammer,
     ideal_bv,
@@ -20,15 +21,14 @@ from hamrec import (
     sample_noisy,
     tvd,
 )
+from hamrec.cli import _parse_corr
 
 
 def run(args: argparse.Namespace) -> None:
     if args.corr is None:
         correlated = (("0000110000", 0.2),) if args.key == "1010101010" else ()
     else:
-        correlated = tuple(
-            (m, float(p)) for m, _, p in (c.rpartition(":") for c in args.corr)
-        )
+        correlated = tuple(_parse_corr(c) for c in args.corr)
     ideal = ideal_bv(args.key)
     model = NoiseModel(
         per_bit_flip=args.flip, correlated_errors=correlated, seed=args.seed
@@ -67,7 +67,10 @@ def main() -> None:
     )
     parser.add_argument("--trials", type=int, default=32768)
     parser.add_argument("--seed", type=int, default=42)
-    run(parser.parse_args())
+    try:
+        run(parser.parse_args())
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from hamrec import (
     ideal_bv,
     normalize,
     NoiseModel,
+    UsageError,
     quality_curve,
     sample_noisy,
 )
@@ -56,7 +57,10 @@ def main() -> None:
     parser.add_argument("--flip", type=float, default=0.06)
     parser.add_argument("--trials", type=int, default=16384)
     parser.add_argument("--seed", type=int, default=7)
-    run(parser.parse_args())
+    try:
+        run(parser.parse_args())
+    except UsageError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

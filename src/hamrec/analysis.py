@@ -24,6 +24,7 @@ from .core import (
     UsageError,
     code_strings,
     min_distances_to_set,
+    pack_outcomes,
     pairwise_distances,
     reference_codes,
     require_probabilities,
@@ -109,7 +110,7 @@ def chs_for_outcome(d: Distribution, x: str) -> ChsVector:
     """
     require_probabilities(d, "chs_for_outcome")
     n_bins = chs_length(d.width)
-    dist = min_distances_to_set(d.codes, reference_codes([x], d.width))
+    dist = min_distances_to_set(d.codes, pack_outcomes([x], d.width))
     keep = dist < n_bins
     values = np.bincount(dist[keep], weights=d.weights[keep], minlength=n_bins)
     return ChsVector(width=d.width, values=values, pair_evaluations=len(d))

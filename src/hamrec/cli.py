@@ -50,8 +50,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ensure_writable(*paths: str | None) -> None:
-    """Each output file of one command can be written and is a different file."""
+    """Each output path of one command is non-empty, writable and a different file."""
     files = [p for p in paths if p not in (None, "-")]
+    if "" in files:
+        raise UsageError("output path must not be empty")
     if len({os.path.realpath(p) for p in files}) < len(files):
         raise UsageError(f"output paths name the same file: {', '.join(files)}")
     for path in files:

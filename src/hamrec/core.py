@@ -58,16 +58,14 @@ def _is_integer(value) -> bool:
 
 def hamming_distance(a: str, b: str) -> int:
     """Number of differing bit positions between two equal-width outcomes."""
-    _check_bitstring(a)
-    _check_bitstring(b, width=len(a))
-    return (int(a, 2) ^ int(b, 2)).bit_count()
+    return min_distance_to_set(a, [b])
 
 
 def min_distance_to_set(x: str, reference: Iterable[str]) -> int:
     """Shortest Hamming distance from ``x`` to any outcome in ``reference``."""
-    _check_bitstring(x)
-    refs = reference_codes(reference, len(x))
-    return int(min_distances_to_set(reference_codes([x], len(x)), refs)[0])
+    width = len(_check_bitstring(x))
+    refs = reference_codes(reference, width)
+    return int(min_distances_to_set(pack_outcomes([x], width), refs)[0])
 
 
 @dataclass(frozen=True)
@@ -102,34 +100,26 @@ def _check_entry(key, weight, width: int, kind: str) -> None:
 
 
 def _map_arrays(entries: Mapping, width: int, kind: str) -> _Packed:
-    """A ``{bitstring: weight}`` map as arrays, checked as a whole.
-
-    If a check fails, or a key or weight cannot join its array, the
-    entries are checked one by one from the first that failed (from the
-    start when no array was built), so the error names the first bad
-    entry in the map's order.
-    """
+    """A ``{bitstring: weight}`` map as arrays; :func:`_checked_arrays`
+    checks the weights' values. If a weight's type is wrong, or a key or
+    weight cannot join its array, the entries are checked one by one, so
+    the error names the first bad entry in the map's order."""
     keys, values = list(entries), list(entries.values())
     dtype, wanted = (np.int64, numbers.Integral) if kind == "counts" else (np.float64, numbers.Real)
-    chars = weights = None
-    with contextlib.suppress(TypeError, ValueError, OverflowError):  # the check below names it
-        if set(map(len, keys)) <= {width}:
-            chars = np.frombuffer("".join(keys).encode("ascii"), dtype=np.uint8)
-            chars = chars.reshape(len(keys), width)
-        if not any(issubclass(t, bool) or not issubclass(t, wanted) for t in set(map(type, values))):
-            weights = np.array(values, dtype=dtype)
-    start = 0
-    if chars is not None and weights is not None:
-        bad = ((chars | 1) != ord("1")).any(axis=1) | ~(np.isfinite(weights) & (weights >= 0))
-        start = int(bad.argmax()) if bad.any() else len(keys)
-    for key, weight in zip(keys[start:], values[start:]):
-        _check_entry(key, weight, width, kind)
-    return _Packed(pack_bits(chars == ord("1")), weights)
+    try:
+        if any(issubclass(t, bool) or not issubclass(t, wanted) for t in set(map(type, values))):
+            raise TypeError("a weight of the wrong type")
+        return _Packed(pack_outcomes(keys, width), np.array(values, dtype=dtype))
+    except (TypeError, ValueError, OverflowError):  # UsageError included
+        for key, weight in zip(keys, values):
+            _check_entry(key, weight, width, kind)
+        raise
 
 
 def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """The one array validator: read-only codes in ascending order and
-    their weights, with zero weights dropped."""
+    their weights, with zero weights dropped. Weights are checked in the
+    caller's order, so an error names the first bad entry."""
     codes, weights = np.asarray(packed.codes), np.asarray(packed.weights)
     if (codes.dtype != np.uint64 or weights.ndim != 1
             or codes.shape != (len(weights), (width + 63) // 64)
@@ -249,7 +239,7 @@ class Distribution:
     def probability(self, outcome: str):
         """The weight of ``outcome``, or 0.0 when it is not in the support."""
         try:
-            code = pack_outcomes([_check_bitstring(outcome, self.width)], self.width)
+            code = pack_outcomes([outcome], self.width)
         except UsageError:
             return 0.0
         hit = (self.codes == code).all(axis=1)
@@ -310,12 +300,11 @@ def require_probabilities(d: Distribution, op: str) -> None:
 def reference_codes(reference, width: int) -> np.ndarray:
     """A non-empty set of width-n bitstrings as packed rows, deduplicated
     and in ascending order."""
-    refs = set(reference)
-    if not refs:
+    codes = pack_outcomes(reference, width)
+    if not len(codes):
         raise UsageError("reference set must be non-empty")
-    for r in refs:
-        _check_bitstring(r, width=width)
-    return pack_outcomes(sorted(refs), width)
+    order, first = sort_rows(codes)
+    return codes[order][first]
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +325,18 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def pack_outcomes(outcomes: Iterable[str], width: int) -> np.ndarray:
-    """Pack bitstrings into an (N, n_words) uint64 array (see :func:`pack_bits`)."""
+    """Width-n bitstrings as an (N, n_words) uint64 array (see :func:`pack_bits`):
+    the one checked door from bitstrings to codes. UsageError names the first bad one."""
     strings = list(outcomes)
-    raw = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
-    return pack_bits(raw.reshape(len(strings), width) == ord("1"))
+    chars = None
+    with contextlib.suppress(TypeError, ValueError):  # the check below names it
+        if set(map(len, strings)) <= {width}:
+            chars = np.frombuffer("".join(strings).encode("ascii"), dtype=np.uint8)
+            chars = chars.reshape(len(strings), width)
+    if chars is None or ((chars | 1) != ord("1")).any():
+        for s in strings:
+            _check_bitstring(s, width)
+    return pack_bits(chars == ord("1"))
 
 
 def sort_rows(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ from .core import (
     Distribution,
     ParseError,
     UsageError,
-    _check_bitstring,
     _is_integer,
     as_probabilities,
     code_bits,
@@ -127,7 +126,6 @@ def _costs(g: CutGraph, codes: np.ndarray, width: int) -> np.ndarray:
 
 def cut_cost(g: CutGraph, x: str) -> float:
     """Cost of one assignment: sum of w * s_u * s_v over the edges."""
-    _check_bitstring(x, width=g.n_vertices)
     return float(_costs(g, pack_outcomes([x], g.n_vertices), g.n_vertices)[0])
 
 

@@ -33,7 +33,7 @@ from .core import (
     _Packed,
     as_probabilities,
     min_distances_to_set,
-    reference_codes,
+    pack_outcomes,
 )
 
 
@@ -85,16 +85,18 @@ def neighborhood_score(d: Distribution, x: str, weights: WeightVector) -> float:
     Only neighbors within distance d < n/2 that have strictly lower
     probability than ``x`` contribute; the strict filter keeps equal-weight
     outcomes from feeding each other and excludes the self term, which
-    instead seeds the score.
+    instead seeds the score. This is the paper's ``p + sum W[d] * mass``, so a
+    lighter neighbor in a bin whose W[d] is inf (a subnormal CHS bin) makes
+    the score inf, where :func:`hammer` computes each term as mass / CHS[d].
     """
     d = as_probabilities(d)
-    px = d.probability(x)
-    if px == 0.0:
+    dist = min_distances_to_set(d.codes, pack_outcomes([x], d.width))
+    if not (dist == 0).any():
         raise UsageError(f"outcome {x!r} is not in the support of the distribution")
     if weights.width != d.width:
         raise UsageError("weight vector width does not match distribution width")
     probs = d.weights
-    dist = min_distances_to_set(d.codes, reference_codes([x], d.width))
+    px = probs[dist == 0][0]
     keep = (dist < chs_length(d.width)) & (probs < px)
     return float(px + weights.values[dist[keep]] @ probs[keep])
 

@@ -179,9 +179,6 @@ def bv10_profile(seed: int = 0) -> Distribution:
     for masks, total in groups:
         shares = _spread_mass(total, len(masks), rng)
         for mask, p in zip(masks, shares):
-            outcome = "".join(
-                ("0" if BV10_KEY[i] == "1" else "1") if i in mask else BV10_KEY[i]
-                for i in range(10)
-            )
+            outcome = format(int(BV10_KEY, 2) ^ sum(1 << (9 - i) for i in mask), "010b")
             entries[outcome] = entries.get(outcome, 0.0) + float(p)
     return Distribution(width=10, entries=entries, kind="probabilities")

@@ -191,6 +191,20 @@ class TestReconstructCommand:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", "--input", "counts.json", "--report", ""],
+        ["synth", "--key", "01", "--output", ""],
+    ], ids=["empty-report", "empty-output"])
+    def test_empty_output_path_rejected_before_any_work(self, tmp_path, counts_file, capsys,
+                                                        monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hamrec: error: output path must not be empty\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_second_write_leaves_no_output(self, tmp_path, counts_file, capsys,
                                                   monkeypatch, existing):

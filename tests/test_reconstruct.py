@@ -73,6 +73,19 @@ class TestNeighborhoodScore:
             score_oracle(d.entries, x, weights.values.tolist(), width), abs=1e-12
         )
 
+    def test_infinite_weight_makes_an_infinite_score(self):
+        # W[1] = 1 / CHS[1] = 1 / 5e-309 is inf, and 0011 is a lighter
+        # neighbor of 0111 at distance 1: the paper's score p + W[1] * 2e-309
+        # is inf, where hammer divides the mass by CHS[1].
+        d = Distribution(4, {"0000": 1.0, "0011": 2e-309, "0111": 3e-309},
+                         kind="probabilities")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = weights_from_chs(global_chs(d))
+            assert neighborhood_score(d, "0111", weights) == np.inf
+            assert score_oracle(d.entries, "0111", weights.values.tolist(), 4) == np.inf
+            assert hammer(d).output.entries["0111"] == 1.2e-309
+
 
 class TestHammer:
     def test_hand_trace_regression(self):
