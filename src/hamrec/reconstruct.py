@@ -33,7 +33,7 @@ from .core import (
     _Packed,
     as_probabilities,
     min_distances_to_set,
-    pack_outcomes,
+    reference_codes,
 )
 
 
@@ -90,7 +90,7 @@ def neighborhood_score(d: Distribution, x: str, weights: WeightVector) -> float:
     the score inf, where :func:`hammer` computes each term as mass / CHS[d].
     """
     d = as_probabilities(d)
-    dist = min_distances_to_set(d.codes, pack_outcomes([x], d.width))
+    dist = min_distances_to_set(d.codes, reference_codes([x], d.width))
     if not (dist == 0).any():
         raise UsageError(f"outcome {x!r} is not in the support of the distribution")
     if weights.width != d.width:
