@@ -172,11 +172,20 @@ def _resolved_c_min(g: CutGraph, c_min_override: float | None) -> float:
     return cmin
 
 
+def _ratios(costs, cmin: float):
+    """costs / C_min, with -0.0 collapsed to 0.0 (cmin is negative on sane
+    graphs); UsageError if a ratio overflows, as a tiny C_min can make it."""
+    with np.errstate(over="ignore"):  # an overflow to inf fails the check below
+        ratios = np.divide(costs, cmin) + 0.0
+    if not np.isfinite(ratios).all():
+        raise UsageError(f"a cost ratio overflows float64 with C_min {cmin!r}")
+    return ratios
+
+
 def cost_ratio(g: CutGraph, d: Distribution, c_min_override: float | None = None) -> float:
     """Cost Ratio C_exp / C_min; 1 is optimal, negative means anti-optimal."""
     cmin = _resolved_c_min(g, c_min_override)
-    # adding 0.0 collapses -0.0 (cmin is negative on sane graphs) to 0.0
-    return expected_cost(g, as_probabilities(d)) / cmin + 0.0
+    return float(_ratios(expected_cost(g, as_probabilities(d)), cmin))
 
 
 def quality_curve(g: CutGraph, d: Distribution, c_min_override: float | None = None) -> QualityCurve:
@@ -189,8 +198,7 @@ def quality_curve(g: CutGraph, d: Distribution, c_min_override: float | None = N
     d = as_probabilities(d)
     if len(d) == 0:
         raise UsageError("quality_curve of an empty distribution is undefined")
-    costs = _costs(g, d.codes, d.width)
-    ratios, slot = np.unique(costs / cmin + 0.0, return_inverse=True)  # + 0.0 collapses -0.0
+    ratios, slot = np.unique(_ratios(_costs(g, d.codes, d.width), cmin), return_inverse=True)
     # bincount and cumsum add in order, one term at a time: each ratio's
     # mass in ascending outcome order, then the ratios from the best down.
     mass = np.bincount(slot, weights=d.weights, minlength=len(ratios))[::-1]

@@ -36,9 +36,11 @@ BV10_TOP_ERROR = "1010100010"  # the key with bit 6 flipped
 # exactly the quotient lands one ulp under 0.4.
 _BV10_TOP_P = math.nextafter(0.2, 0.0)
 
-# Per-bit uniform doubles drawn at once by sample_noisy; bounds the size of
-# its per-chunk temporaries, not its output.
-SAMPLE_BLOCK_ELEMENTS = 1 << 18
+# Uniform doubles per chunk of sample_noisy's draws (0.5 MB). Every per-chunk
+# temporary is bounded by it, so the sampler's memory beyond its one packed
+# row per trial stays fixed. 2**16 keeps those temporaries well below the
+# 2 MB of rows at 2**18 trials; a larger value only adds to the peak.
+SAMPLE_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,19 +83,19 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     Deterministic for a fixed model seed. The generator is consumed in
     three blocks of uniform doubles — base-outcome draws, error-category
     draws, then a trials-by-width block of per-bit draws — so the stream
-    layout does not depend on which branches individual trials take. The
-    per-bit block is drawn from the same stream in row chunks of about
-    ``SAMPLE_BLOCK_ELEMENTS`` doubles; consecutive draws yield the same
-    doubles as one large draw, so seeded outputs do not depend on the chunk
-    size and memory does not grow as trials x width doubles. Nothing is
-    drawn after the per-bit block, so it is skipped when ``per_bit_flip``
-    is 0.
+    layout does not depend on which branches individual trials take.
+    Every block is drawn from the same stream in chunks of
+    ``max(1, SAMPLE_BLOCK_ELEMENTS // width)`` trials; consecutive draws
+    yield the same doubles as one large draw, so seeded outputs do not
+    depend on the chunk size. Nothing is drawn after the per-bit block,
+    so it is skipped when ``per_bit_flip`` is 0.
 
-    Each trial is a packed code row: the ideal outcome's code XOR the
-    packed mask of its category (all zeros for background trials), XOR
-    the packed per-bit flips of background trials. One sort of the rows
-    (:func:`hamrec.core.sort_rows`) then counts the distinct outcomes; no
-    bitstring is made.
+    The sampler holds one packed code row per trial, one flag per trial
+    and fixed-size chunk temporaries. Each row is the ideal outcome's code
+    XOR the packed mask of its category (all zeros for background
+    trials), XOR the packed per-bit flips of background trials. Rows of
+    one word (width <= 64) are counted by one in-place sort of the words;
+    wider rows by :func:`hamrec.core.sort_rows`. No bitstring is made.
     """
     if not (_is_integer(trials) and trials >= 1):
         raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
@@ -105,34 +107,44 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     ideal = as_probabilities(ideal)
     width = ideal.width
     cum = np.cumsum(ideal.weights)
-
-    rng = np.random.Generator(np.random.PCG64(model.seed))
-    u_base = rng.random(trials)
-    u_category = rng.random(trials)
-
-    base_idx = np.minimum(np.searchsorted(cum, u_base, side="right"), len(ideal) - 1)
     mask_edges = np.cumsum([q for _, q in model.correlated_errors])
-    category = np.searchsorted(mask_edges, u_category, side="right")
     n_masks = len(model.correlated_errors)
-
     # Row n_masks is all zeros: background trials apply no mask.
     mask_table = pack_outcomes([m for m, _ in model.correlated_errors] + ["0" * width], width)
-    codes = ideal.codes[base_idx] ^ mask_table[category]
-    background = category == n_masks
-    del u_base, u_category, base_idx, category
 
+    rows = max(1, SAMPLE_BLOCK_ELEMENTS // width)
+    chunks = [slice(start, min(start + rows, trials)) for start in range(0, trials, rows)]
+    codes = np.empty((trials, ideal.codes.shape[1]), dtype=np.uint64)
+    background = np.empty(trials, dtype=bool)
+    rng = np.random.Generator(np.random.PCG64(model.seed))
+    for c in chunks:
+        base_idx = np.searchsorted(cum, rng.random(c.stop - c.start), side="right")
+        codes[c] = ideal.codes[np.minimum(base_idx, len(ideal) - 1, out=base_idx)]
+    for c in chunks:
+        category = np.searchsorted(mask_edges, rng.random(c.stop - c.start), side="right")
+        codes[c] ^= mask_table[category]
+        np.equal(category, n_masks, out=background[c])
     if model.per_bit_flip > 0.0:
-        rows = max(1, SAMPLE_BLOCK_ELEMENTS // width)
-        for start in range(0, trials, rows):
-            stop = min(start + rows, trials)
-            flips = rng.random((stop - start, width)) < model.per_bit_flip
-            flips &= background[start:stop, None]
-            codes[start:stop] ^= pack_bits(flips)
+        for c in chunks:
+            flips = rng.random((c.stop - c.start, width)) < model.per_bit_flip
+            flips &= background[c, None]
+            codes[c] ^= pack_bits(flips)
+    del background
 
-    order, first = sort_rows(codes)
-    starts = np.flatnonzero(first)
+    if codes.shape[1] == 1:  # one word per row: sort the words in place
+        words = codes.ravel()
+        words.sort()
+        first = np.empty(trials, dtype=bool)
+        first[0] = True
+        np.not_equal(words[1:], words[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        distinct = codes[starts]
+    else:
+        order, first = sort_rows(codes)
+        starts = np.flatnonzero(first)
+        distinct = codes[order[starts]]
     counts = np.diff(starts, append=trials)
-    return Distribution(width=width, entries=_Packed(codes[order[starts]], counts), kind="counts")
+    return Distribution(width=width, entries=_Packed(distinct, counts), kind="counts")
 
 
 def _pick(items: list, k: int, rng: np.random.Generator) -> list:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -305,3 +306,18 @@ class TestGraphJson:
             load_graph(path)
         path.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
         assert load_graph(path) == CutGraph(2, ((0, 1, 1.0),))
+
+
+class TestRatioOverflow:
+    def test_tiny_cmin_is_a_usage_error_not_a_warning(self):
+        # Both outcomes cost +2, and 2 / cmin is beyond float64.
+        g = CutGraph(13, ((0, 1, 1.0), (0, 2, 1.0)))
+        d = Distribution(13, {"0" * 13: 0.5, "0" * 12 + "1": 0.5}, kind="probabilities")
+        cmin = 1.1125369292536007e-308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="overflows"):
+                quality_curve(g, d, c_min_override=cmin)
+            with pytest.raises(UsageError, match="overflows"):
+                cost_ratio(g, d, c_min_override=cmin)
+            assert cost_ratio(g, d, c_min_override=-4.0) == -0.5

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -234,3 +235,65 @@ class TestIntegerArguments:
     def test_trials_must_be_an_integer_of_at_least_one(self, trials):
         with pytest.raises(UsageError, match="trials"):
             sample_noisy(ideal_bv("11"), NoiseModel(), trials)
+
+
+CLUSTERED_KEY = "101101001110010110100101"
+CLUSTERED_MODEL = NoiseModel(0.08, (("000000001100000000000000", 0.05),), seed=2024)
+WIDE_KEY = "10" * 35
+WIDE_MODEL = NoiseModel(0.03, (("0" * 60 + "1" * 10, 0.1), ("1" * 5 + "0" * 65, 0.05)), seed=7)
+
+
+class TestSamplerChunks:
+    def test_peak_memory_is_a_small_multiple_of_the_code_rows(self):
+        # 2**18 one-word rows take 2 MB; per-trial doubles or indices would
+        # add 2 MB each on top of the chunk temporaries.
+        sample_noisy(ideal_bv(CLUSTERED_KEY), CLUSTERED_MODEL, 2 ** 8)  # warm caches
+        tracemalloc.start()
+        try:
+            sample_noisy(ideal_bv(CLUSTERED_KEY), CLUSTERED_MODEL, 2 ** 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+    @pytest.mark.parametrize("key, model", [(CLUSTERED_KEY, CLUSTERED_MODEL), (WIDE_KEY, WIDE_MODEL)])
+    def test_chunk_size_does_not_change_the_output(self, key, model):
+        width = len(key)
+        outputs = []
+        for elements in (1, 7, 3 * width + 1, 2 ** 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hamrec.synth, "SAMPLE_BLOCK_ELEMENTS", elements)
+                outputs.append(list(sample_noisy(ideal_bv(key), model, 4097).entries.items()))
+        assert len(outputs[0]) > 1
+        assert all(out == outputs[0] for out in outputs[1:])
+
+    def test_one_word_rows_are_counted_without_a_row_sort(self):
+        trials = 2 ** 14
+        lexsort_rows = []
+        np_lexsort = np.lexsort
+
+        def recording_lexsort(keys, *args, **kwargs):
+            lexsort_rows.append(len(keys[0]))
+            return np_lexsort(keys, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hamrec.synth, "sort_rows", lambda codes: pytest.fail("sort_rows ran"))
+            mp.setattr(np, "lexsort", recording_lexsort)
+            out = sample_noisy(ideal_bv(BV10_KEY), NoiseModel(0.02, (("0000110000", 0.2),), 3), trials)
+        assert out.total() == trials
+        assert max(lexsort_rows, default=0) <= len(out)  # only the support is sorted
+
+    @pytest.mark.parametrize("key, model", [(CLUSTERED_KEY, CLUSTERED_MODEL), (WIDE_KEY, WIDE_MODEL)])
+    def test_xor_of_the_key_moves_every_outcome(self, key, model):
+        # The draws do not depend on the key, so XORing it by m XORs every
+        # sampled outcome by m and leaves every count as it was.
+        m = "".join("1" if i % 3 == 0 else "0" for i in range(len(key)))
+
+        def xor(x):
+            return "".join("1" if a != b else "0" for a, b in zip(x, m))
+
+        base = sample_noisy(ideal_bv(key), model, 2 ** 18)
+        moved = sample_noisy(ideal_bv(xor(key)), model, 2 ** 18)
+        expected = Distribution(len(key), {xor(x): c for x, c in base.entries.items()}, kind="counts")
+        assert moved == expected
+        assert len(moved) > 100
