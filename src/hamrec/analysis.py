@@ -161,12 +161,20 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     The paths add the same terms in different orders, so ``lighter`` and
     the CHS may differ between them in the last bits. The path of each
     block depends only on the input, so results are bit-reproducible.
+
+    Codes of width <= 32 fill only the top half of their one word, so after
+    the sort they are narrowed once to uint32 lanes, which halves the XOR
+    traffic; the distances, and so the results, are the same. The row
+    blocks reuse one lane-typed XOR scratch and one uint8 distance buffer,
+    and the column path copies each row's columns ``[:i]`` once into an
+    intp buffer that all of its bincounts read, instead of each bincount
+    converting the uint8 row again.
     """
     n_bins = chs_length(width)
     n = codes.shape[0]
     order = np.argsort(probs, kind="stable")
     p = probs[order]
-    c = codes[order]
+    c = codes[order] if width > 32 else (codes[order] >> 32).astype(np.uint32)
     gstart = np.searchsorted(p, p, side="left")
     lighter = np.empty((n, n_bins))
     if n * n < PAIR_BLOCK_ELEMENTS:
@@ -188,16 +196,21 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     group = p_group = None
     pairs = 0
     start = 0
-    # One XOR buffer for every block: a fresh multi-MB temporary per block
-    # can be returned to the OS and faulted back in each time.
-    scratch = np.empty(max(PAIR_BLOCK_ELEMENTS, n), dtype=np.uint64)
+    # One XOR, distance and row buffer for every block: a fresh multi-MB
+    # temporary per block can be returned to the OS and faulted back in
+    # each time.
+    size = max(PAIR_BLOCK_ELEMENTS, n)
+    scratch = np.empty(size, dtype=c.dtype)
+    out = np.empty(size, dtype=np.uint8)
+    row = np.empty(n, dtype=np.intp)
     while start < n:
         # The largest stop with rows x columns = (stop - start) * stop
         # within the budget.
         root = math.isqrt(start * start + 4 * PAIR_BLOCK_ELEMENTS)
         stop = min(n, max(start + 1, (start + root) // 2))
         rows = stop - start
-        dist = pairwise_distances(c[start:stop], c[:stop], scratch[:rows * stop])
+        block = rows * stop
+        dist = pairwise_distances(c[start:stop], c[:stop], scratch[:block], out[:block])
         pairs += dist.size
         groups = 1 + np.count_nonzero(new_group[:stop - 1])
         if groups * (width + 1) <= stop // 2:
@@ -208,8 +221,9 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
         else:
             light = np.empty((rows, n_bins))
             near = np.empty((rows, width + 1), dtype=np.intp)
-            for r, (g, row) in enumerate(zip(gstart[start:stop].tolist(), dist)):
+            for r, g in enumerate(gstart[start:stop].tolist()):
                 i = start + r
+                row[:i] = dist[r, :i]
                 light[r] = np.bincount(row[:g], weights=p[:g], minlength=width + 1)[:n_bins]
                 near[r] = np.bincount(row[:g], minlength=width + 1)
                 if g < i:
@@ -226,11 +240,12 @@ def _bin_by_tie_group(dist, start, group, p_group, width, scratch):
     Row r of ``dist`` is outcome ``start + r``; its columns before the
     diagonal are keyed by (tie group, distance) and counted with one
     unweighted bincount. The keys overwrite ``scratch``, which holds
-    nothing live once ``dist`` is computed. ``near`` counts a lighter
-    column once and a tie twice. ``light`` weights the lighter groups'
-    counts by their probability after the row's own group is zeroed: taking
-    the ties back out of a sum would lose the lighter mass when ties
-    dominate it.
+    nothing live once ``dist`` is computed; the keys take at most
+    ``stop // 2`` values, so their type is no wider than a uint32 lane.
+    ``near`` counts a lighter column once and a tie twice. ``light``
+    weights the lighter groups' counts by their probability after the
+    row's own group is zeroed: taking the ties back out of a sum would lose
+    the lighter mass when ties dominate it.
     """
     rows, stop = dist.shape
     n_bins = chs_length(width)

@@ -361,16 +361,23 @@ def code_strings(codes: np.ndarray, width: int) -> list[str]:
     return chars.view(f"S{width}").ravel().astype(str).tolist()
 
 
-def pairwise_distances(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+def pairwise_distances(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None = None,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Hamming distance matrix between packed rows of ``a`` and ``b``.
 
-    ``scratch``, a uint64 array of len(a) * len(b) elements, takes the XOR
-    of each word; without it each call allocates that temporary.
+    Rows are words of one unsigned dtype: the uint64 codes, or one-word
+    codes narrowed to a smaller lane (such as ``codes >> 32`` as uint32 for
+    width <= 32). ``scratch``, an array of that dtype with len(a) * len(b)
+    elements, takes the XOR of each word. For one-word rows, ``out``, a
+    uint8 array of as many elements, takes the distances and is returned
+    reshaped; wider rows return uint16 and ignore it. Without them each
+    call allocates its own.
     """
     shape = (a.shape[0], b.shape[0])
-    xor = np.empty(shape, dtype=np.uint64) if scratch is None else scratch.reshape(shape)
+    xor = np.empty(shape, dtype=a.dtype) if scratch is None else scratch.reshape(shape)
     if a.shape[1] == 1:
-        return np.bitwise_count(np.bitwise_xor(a[:, :1], b[:, 0], out=xor))
+        dist = None if out is None else out.reshape(shape)
+        return np.bitwise_count(np.bitwise_xor(a[:, :1], b[:, 0], out=xor), out=dist)
     dist = np.zeros(shape, dtype=np.uint16)
     for w in range(a.shape[1]):
         dist += np.bitwise_count(np.bitwise_xor(a[:, w:w + 1], b[:, w], out=xor))

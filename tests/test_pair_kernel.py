@@ -8,6 +8,7 @@ and the order in which entries were inserted.
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from hamrec import (
     normalize,
 )
 from hamrec.cli import main
-from hamrec.core import distribution_from_json_obj
+from hamrec.analysis import pair_histograms
+from hamrec.core import distribution_from_json_obj, pack_outcomes
 from oracles import global_chs_oracle, hammer_oracle
 
 TOL = 1e-12
@@ -220,3 +222,143 @@ def test_cli_report_states_pairs_computed(tmp_path):
     rep = json.loads(report.read_text())
     assert rep["pairs_computed"] == hammer(from_counts(counts)).pairs_computed
     assert 10 <= rep["pairs_computed"] <= 16
+
+
+LANE_WIDTHS = [24, 31, 32, 33]
+
+
+@st.composite
+def lane_count_maps(draw):
+    """{bitstring: count} maps at widths on both sides of the 32-bit lane.
+
+    One outcome sets the first and the last column. About half are 150-220
+    outcomes of two counts, whose blocks ending after column 136 hold few
+    enough tie groups to be binned by (tie group, distance); the rest are
+    up to 24 outcomes of distinct counts.
+    """
+    width = draw(st.sampled_from(LANE_WIDTHS))
+    tied = draw(st.booleans())
+    size = draw(st.integers(min_value=150, max_value=220) if tied
+                else st.integers(min_value=1, max_value=24))
+    codes = draw(st.lists(st.integers(min_value=0, max_value=2 ** width - 1),
+                          min_size=size, max_size=size, unique=True))
+    edges = (1 << (width - 1)) | 1
+    if edges not in codes:
+        codes[0] = edges
+    if tied:
+        levels = draw(st.lists(st.integers(min_value=1, max_value=50),
+                               min_size=2, max_size=2, unique=True))
+        counts = draw(st.lists(st.sampled_from(levels), min_size=size, max_size=size))
+    else:
+        counts = draw(st.lists(st.integers(min_value=1, max_value=10_000),
+                               min_size=size, max_size=size, unique=True))
+    return width, {format(c, f"0{width}b"): k for c, k in zip(codes, counts)}
+
+
+@settings(max_examples=15)
+@pytest.mark.parametrize("budget", [hamrec.analysis.PAIR_BLOCK_ELEMENTS, 1, 1 << 10])
+@given(case=lane_count_maps())
+def test_lane_boundary_widths_match_oracles(budget, case):
+    # The default budget bins every drawn support as one square; the small
+    # ones send it through the row blocks, by column and by tie group.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hamrec.analysis, "PAIR_BLOCK_ELEMENTS", budget)
+        assert_matches_oracles(*case)
+
+
+@pytest.mark.parametrize("width", LANE_WIDTHS)
+def test_lane_boundary_widths_reach_both_block_paths(width, monkeypatch):
+    # Under a budget of 2**10 the 200 outcomes of two counts are binned by
+    # column in the blocks ending before column 136 and by (tie group,
+    # distance) after it.
+    rng = random.Random(width)
+    codes = {(1 << (width - 1)) | 1}
+    while len(codes) < 200:
+        codes.add(rng.getrandbits(width))
+    counts = {format(c, f"0{width}b"): rng.choice([3, 8]) for c in sorted(codes)}
+    grouped_starts = []
+    bin_by_tie_group = hamrec.analysis._bin_by_tie_group
+
+    def spy(dist, start, *args):
+        grouped_starts.append(start)
+        return bin_by_tie_group(dist, start, *args)
+
+    monkeypatch.setattr(hamrec.analysis, "_bin_by_tie_group", spy)
+    monkeypatch.setattr(hamrec.analysis, "PAIR_BLOCK_ELEMENTS", 1 << 10)
+    assert_matches_oracles(width, counts)
+    assert grouped_starts and 0 not in grouped_starts
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_zero_columns_leave_the_near_bins_unchanged(tied):
+    # 16 zero columns leave every code's word, and so every distance, as it
+    # was, but take the codes from uint32 lanes (width 24) to uint64 ones
+    # (width 40). With distinct weights both widths bin by column, in the
+    # same order; tied counts may take a different path at each width.
+    rng = np.random.default_rng(2000)
+    values = rng.choice(2 ** 24, size=2000, replace=False)
+    strings = [format(int(v), "024b") for v in values]
+    weights = rng.integers(1, 4, size=2000) if tied else rng.permutation(2000) + 1.0
+    probs = weights / weights.sum()
+    narrow = pair_histograms(pack_outcomes(strings, 24), probs, 24)
+    wide = pair_histograms(pack_outcomes([s + "0" * 16 for s in strings], 40), probs, 40)
+    assert narrow.pairs_computed == wide.pairs_computed < 2000 ** 2
+    assert wide.chs[:12].tolist() == pytest.approx(narrow.chs.tolist(), rel=TOL, abs=TOL)
+    if tied:
+        np.testing.assert_allclose(wide.lighter[:, :12], narrow.lighter, rtol=TOL, atol=TOL)
+    else:
+        assert np.array_equal(wide.lighter[:, :12], narrow.lighter)
+
+
+@st.composite
+def masked_supports(draw):
+    """(width, {code: count}, mask): 1500-3000 outcomes of tied or distinct
+    counts, enough for the row-block paths to run without a patched budget."""
+    width = draw(st.sampled_from([24, 32, 33, 70]))
+    size = draw(st.integers(min_value=1500, max_value=3000))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    codes = set()
+    while len(codes) < size:
+        codes.add(rng.getrandbits(width))
+    if draw(st.booleans()):
+        counts = [rng.choice([1, 2, 3, 5]) for _ in codes]
+    else:
+        counts = rng.sample(range(1, 10 * size), size)
+    mask = draw(st.integers(min_value=0, max_value=2 ** width - 1))
+    return width, dict(zip(sorted(codes), counts)), mask
+
+
+@settings(max_examples=12)
+@given(masked_supports())
+def test_hammer_commutes_with_xor_masks(case):
+    # XOR with a fixed mask keeps every Hamming distance, but reorders the
+    # codes, and so the ties and the order of every sum.
+    width, counts, mask = case
+    key = f"0{width}b"
+    plain = hammer(from_counts({format(c, key): k for c, k in counts.items()}))
+    masked = hammer(from_counts({format(c ^ mask, key): k for c, k in counts.items()}))
+    out, out_masked = plain.output.entries, masked.output.entries
+    for c in counts:
+        assert abs(out_masked[format(c ^ mask, key)] - out[format(c, key)]) <= TOL
+    assert masked.chs.values.tolist() == pytest.approx(plain.chs.values.tolist(), rel=TOL, abs=TOL)
+    for name in ("pair_evaluations_step1", "pair_evaluations_step3", "normalization_steps",
+                 "pairs_computed"):
+        assert getattr(masked, name) == getattr(plain, name)
+
+
+def test_pass_allocates_little_beyond_lighter():
+    # The pass's own buffers (the XOR scratch, the distances and one row)
+    # must stay within 2 MB beside the N x 12 float64 lighter matrix.
+    n = 4096
+    rng = np.random.default_rng(n)
+    values = rng.choice(2 ** 24, n, replace=False)
+    codes = pack_outcomes([format(int(v), "024b") for v in values], 24)
+    probs = (rng.permutation(n) + 1.0) / (n * (n + 1) / 2)
+    pair_histograms(codes, probs, 24)  # warm caches
+    tracemalloc.start()
+    try:
+        pair_histograms(codes, probs, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * 12 * 8 + 2e6
