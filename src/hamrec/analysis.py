@@ -51,7 +51,7 @@ def checked_bins(values, width: int, what: str) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != (chs_length(width),):
         raise UsageError(f"{what} for width {width} must have {chs_length(width)} entries")
-    if np.any(values < 0):
+    if (values < 0).any():
         raise UsageError(f"{what} entries must be non-negative")
     return values
 
@@ -139,9 +139,11 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     "strictly lighter" into "before the row's tie group" ``gstart[i]``.
 
     * A support of fewer than ``PAIR_BLOCK_ELEMENTS`` pairs computes the
-      whole N x N square at once: the CHS is one weighted bincount of it,
-      and ``lighter`` one more, with the columns from ``gstart[i]`` on sent
-      to a dump bin.
+      whole N x N square at once and keys it ``dist + row * (width + 1)``.
+      One unweighted bincount of the keys gives each row's pair counts, so
+      the CHS is ``p @ counts`` (distance is symmetric), and one weighted by
+      ``p`` on the columns before ``gstart[i]`` and 0 after gives
+      ``lighter``.
     * A larger support computes only the lower triangle, in row blocks of
       about ``PAIR_BLOCK_ELEMENTS`` pairs, and bins each row's columns
       ``[:i]`` in one of two ways, chosen per block from the input:
@@ -178,14 +180,14 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     gstart = np.searchsorted(p, p, side="left")
     lighter = np.empty((n, n_bins))
     if n * n < PAIR_BLOCK_ELEMENTS:
-        dist = pairwise_distances(c, c)
-        weights = np.broadcast_to(p, dist.shape).ravel()
-        chs = np.bincount(dist.ravel(), weights=weights, minlength=n_bins)[:n_bins]
-        is_lighter = np.arange(n) < gstart[:, None]  # [row, column]
-        idx = np.where(is_lighter, np.minimum(dist, n_bins, dtype=np.intp), n_bins)
-        idx += np.arange(0, n * (n_bins + 1), n_bins + 1)[:, None]
-        light = np.bincount(idx.ravel(), weights=weights, minlength=n * (n_bins + 1))
-        lighter[order] = light.reshape(n, n_bins + 1)[:, :n_bins]  # back in the caller's order
+        size = n * (width + 1)
+        keys = np.add(pairwise_distances(c, c), np.arange(0, size, width + 1)[:, None],
+                      dtype=np.intp).ravel()
+        counts = np.bincount(keys, minlength=size).reshape(n, width + 1)
+        chs = p @ counts[:, :n_bins]
+        light = np.bincount(keys, weights=np.where(np.arange(n) < gstart[:, None], p, 0.0).ravel(),
+                            minlength=size)
+        lighter[order] = light.reshape(n, width + 1)[:, :n_bins]  # back in the caller's order
         return PairHistograms(chs=chs, lighter=lighter, pairs_computed=n * n)
     chs = np.zeros(n_bins)
     chs[0] = p.sum()  # the diagonal pairs

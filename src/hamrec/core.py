@@ -117,9 +117,11 @@ def _map_arrays(entries: Mapping, width: int, kind: str) -> _Packed:
 
 
 def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """The one array validator: read-only codes in ascending order and
-    their weights, with zero weights dropped. Weights are checked in the
-    caller's order, so an error names the first bad entry."""
+    """The one array validator: read-only copies of the codes in ascending
+    order and of their weights, with zero weights dropped. Weights are
+    checked in the caller's order, so an error names the first bad entry.
+    One-word codes already in strictly ascending order are checked but not
+    sorted again."""
     codes, weights = np.asarray(packed.codes), np.asarray(packed.weights)
     if (codes.dtype != np.uint64 or weights.ndim != 1
             or codes.shape != (len(weights), (width + 63) // 64)
@@ -132,11 +134,13 @@ def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray,
         key = code_strings(codes[first:first + 1], width)[0]
         _check_entry(key, weights[first].item(), width, kind)
     keep = weights != 0
-    codes, weights = codes[keep], weights[keep]
-    order, first = sort_rows(codes)
-    if not first.all():
-        raise UsageError("an outcome appears more than once")
-    codes, weights = codes[order], weights[order]
+    codes, weights = codes[keep], weights[keep]  # copies, so no caller's array is aliased
+    # Strictly ascending one-word codes hold no duplicate and are in order.
+    if codes.shape[1] != 1 or not (codes[1:, 0] > codes[:-1, 0]).all():
+        order, first = sort_rows(codes)
+        if not first.all():
+            raise UsageError("an outcome appears more than once")
+        codes, weights = codes[order], weights[order]
     with np.errstate(over="ignore"):  # an overflow to inf fails the sum check below
         total = float(weights.sum(dtype=np.float64))  # an int64 sum could wrap
     if kind == "counts" and total >= COUNT_LIMIT / 2 and sum(weights.tolist()) >= COUNT_LIMIT:
@@ -168,9 +172,10 @@ class Distribution:
     A distribution is immutable. It holds two read-only arrays: ``codes``,
     the outcomes packed as by :func:`pack_outcomes` in ascending order
     (ascending bitstring order), and ``weights``, int64 counts or float64
-    probabilities. ``entries`` and ``outcomes()`` make bitstrings from
-    them on each access; no per-outcome object is kept. Distributions are
-    equal when their width, kind, codes and weights are.
+    probabilities. ``outcomes()`` makes bitstrings from them on each call,
+    and ``entries`` keeps the one dict it last made until the next
+    distribution is built (see ``entries``). Distributions are equal when
+    their width, kind, codes and weights are.
     """
 
     width: int

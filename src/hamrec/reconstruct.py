@@ -22,6 +22,7 @@ other's scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,7 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
     terms = np.divide(pairs.lighter, pairs.chs, out=pairs.lighter, where=pairs.chs > 0)
     scores = probs + terms.sum(axis=1)
     raw = scores * probs
-    out_probs = np.maximum(raw / raw.sum(), np.finfo(float).smallest_subnormal)
+    out_probs = np.maximum(raw / raw.sum(), math.ulp(0.0))  # the smallest subnormal
     output = Distribution(width=d.width, entries=_Packed(d.codes, out_probs), kind="probabilities")
     return ReconstructionReport(
         output=output,

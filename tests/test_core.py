@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import hamrec.core
 from hamrec import (
     Distribution,
     ParseError,
@@ -22,6 +23,7 @@ from hamrec import (
     save_distribution,
 )
 from hamrec.core import (
+    _Packed,
     distribution_from_json_obj,
     distribution_to_json,
     pack_bits,
@@ -495,3 +497,58 @@ class TestJsonWriter:
             save_distribution(d, path)
             assert load_distribution(path) == d
             assert list(json.loads(path.read_text())) == sorted(keys)
+
+
+def _ordered_counts(width, size=300, seed=0):
+    """{bitstring: count} for ``size`` distinct outcomes, in ascending key order."""
+    rng = random.Random(seed)
+    codes = set()
+    while len(codes) < size:
+        codes.add(rng.getrandbits(width))
+    return {format(c, f"0{width}b"): rng.randint(1, 50) for c in sorted(codes)}
+
+
+class TestOrderedInput:
+    """One-word codes already in strictly ascending order skip the sort;
+    everything else is checked and copied as before."""
+
+    @pytest.mark.parametrize("width", [24, 70])
+    def test_ascending_and_shuffled_maps_build_equal_distributions(self, width):
+        counts = _ordered_counts(width)
+        items = list(counts.items())
+        random.Random(width).shuffle(items)
+        ordered, shuffled = from_counts(counts), from_counts(dict(items))
+        assert ordered == shuffled
+        assert ordered.outcomes() == list(counts)
+        assert normalize(ordered) == normalize(shuffled)
+
+    def test_ordered_distributions_need_no_sort(self, tmp_path, monkeypatch):
+        def no_sort(codes):
+            raise AssertionError("sort_rows ran")
+
+        monkeypatch.setattr(hamrec.core, "sort_rows", no_sort)
+        d = from_counts(_ordered_counts(24))
+        hammer(normalize(d))
+        path = tmp_path / "counts.json"
+        save_distribution(d, path)
+        assert load_distribution(path) == d
+
+    def test_adjacent_duplicate_still_rejected(self):
+        codes = pack_outcomes(["0001", "0010", "0010", "0100"], 4)
+        with pytest.raises(UsageError, match="more than once"):
+            Distribution(4, _Packed(codes, np.array([1, 2, 3, 4])))
+
+    def test_caller_arrays_stay_writeable_and_unshared(self):
+        codes = pack_outcomes(["0001", "0010", "0100"], 4)
+        weights = np.array([0.25, 0.25, 0.5])
+        d = Distribution(4, _Packed(codes, weights), kind="probabilities")
+        assert codes.flags.writeable and weights.flags.writeable
+        codes[0] = codes[2]
+        weights[:] = 0.0
+        assert d.entries == {"0001": 0.25, "0010": 0.25, "0100": 0.5}
+
+    def test_nan_in_ascending_input_names_first_bad_entry(self):
+        codes = pack_outcomes(["0001", "0010", "0100", "1000"], 4)
+        weights = np.array([0.5, np.nan, 0.5, np.nan])
+        with pytest.raises(UsageError, match="non-finite weight nan for outcome '0010'"):
+            Distribution(4, _Packed(codes, weights), kind="probabilities")

@@ -362,3 +362,94 @@ def test_pass_allocates_little_beyond_lighter():
     finally:
         tracemalloc.stop()
     assert peak <= n * 12 * 8 + 2e6
+
+
+def _square_limit_case(width, tied, size=511):
+    rng = random.Random(width * 2 + tied)
+    codes = set()
+    while len(codes) < size:
+        codes.add(rng.getrandbits(width))
+    strings = [format(c, f"0{width}b") for c in sorted(codes)]
+    if tied:
+        weights = np.array([rng.choice([2, 3, 7]) for _ in strings], dtype=float)
+    else:
+        weights = np.array(rng.sample(range(1, 100 * size), size), dtype=float)
+    return pack_outcomes(strings, width), weights / weights.sum()
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("width", [10, 24, 70])
+def test_largest_square_matches_the_row_blocks(width, tied, monkeypatch):
+    # 511 outcomes are the largest support binned as one square; under a
+    # budget of 1 the same input goes through the row blocks (and, with
+    # tied counts, the tie-group path once the blocks are wide enough).
+    codes, probs = _square_limit_case(width, tied)
+    square = pair_histograms(codes, probs, width)
+    assert square.pairs_computed == 511 * 511
+    monkeypatch.setattr(hamrec.analysis, "PAIR_BLOCK_ELEMENTS", 1)
+    blocks = pair_histograms(codes, probs, width)
+    assert square.chs.tolist() == pytest.approx(blocks.chs.tolist(), rel=TOL, abs=TOL)
+    np.testing.assert_allclose(square.lighter, blocks.lighter, rtol=TOL, atol=TOL)
+
+
+def test_multi_word_square_matches_oracles():
+    rng = random.Random(70)
+    codes = set()
+    while len(codes) < 200:
+        codes.add(rng.getrandbits(70))
+    assert_matches_oracles(70, {format(c, "070b"): rng.choice([1, 2, 3, rng.randint(4, 99)])
+                                for c in sorted(codes)})
+
+
+@st.composite
+def symmetry_supports(draw):
+    """(width, {code: count}) at widths 10, 24, 33 and 70, tied or distinct
+    counts: up to 511 outcomes, binned as one square, or 1500-3000 (all
+    1024 codes at width 10), binned in row blocks by column or tie group."""
+    width = draw(st.sampled_from([10, 24, 33, 70]))
+    size = draw(st.integers(min_value=1, max_value=511) | st.integers(min_value=1500, max_value=3000))
+    size = min(size, 2 ** width)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    codes = set()
+    while len(codes) < size:
+        codes.add(rng.getrandbits(width))
+    if draw(st.booleans()):
+        counts = [rng.choice([1, 2, 3, 5]) for _ in codes]
+    else:
+        counts = rng.sample(range(1, 10 * size), size)
+    return width, dict(zip(sorted(codes), counts))
+
+
+@settings(max_examples=12)
+@given(symmetry_supports(), st.data())
+def test_hammer_commutes_with_bit_permutations(case, data):
+    # Moving bit positions keeps every Hamming distance, but reorders the
+    # codes, and so the square's rows, the ties and the order of every sum.
+    width, counts = case
+    perm = data.draw(st.permutations(range(width)))
+    strings = {format(c, f"0{width}b"): k for c, k in counts.items()}
+    moved = {s: "".join(s[i] for i in perm) for s in strings}
+    plain = hammer(from_counts(strings))
+    permuted = hammer(from_counts({moved[s]: k for s, k in strings.items()}))
+    out, out_permuted = plain.output.entries, permuted.output.entries
+    for s in strings:
+        assert abs(out_permuted[moved[s]] - out[s]) <= TOL
+    assert permuted.chs.values.tolist() == pytest.approx(plain.chs.values.tolist(), rel=TOL, abs=TOL)
+    for name in ("pair_evaluations_step1", "pair_evaluations_step3", "normalization_steps",
+                 "pairs_computed"):
+        assert getattr(permuted, name) == getattr(plain, name)
+
+
+@settings(max_examples=12)
+@given(symmetry_supports(), st.data())
+def test_scaled_counts_give_bit_identical_outputs(case, data):
+    # k * c and k * total are exact in float64 below 2**53, so every
+    # normalized probability, and everything computed from it, is the same.
+    width, counts = case
+    k = data.draw(st.integers(min_value=2, max_value=(2 ** 53 - 1) // sum(counts.values())))
+    strings = {format(c, f"0{width}b"): n for c, n in counts.items()}
+    plain = hammer(from_counts(strings))
+    scaled = hammer(from_counts({s: k * n for s, n in strings.items()}))
+    assert scaled.output == plain.output
+    assert scaled.chs.values.tolist() == plain.chs.values.tolist()
+    assert scaled.pairs_computed == plain.pairs_computed
