@@ -7,16 +7,15 @@ Conventions shared by every subcommand:
 * ``-`` as an input or output path means stdin/stdout, so stages pipe;
 * exit codes: 0 success, 1 usage error or out of memory, 2 data/parse error;
 * inputs and flags are validated fully before any output file is written,
-  a command's output paths must name different files, and its output
-  files are replaced together once all their contents are computed, so a
-  failed write leaves none of them changed.
+  a command's output paths (stdout counted as one) must name different
+  files, and its output files are replaced together once all their
+  contents are computed, so a failed write leaves none of them changed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
@@ -37,26 +36,26 @@ from .qaoa_cost import c_min, cost_ratio, expected_cost, load_graph, quality_cur
 from .reconstruct import hammer
 from .synth import NoiseModel, ideal_bv, sample_noisy
 
-log = logging.getLogger("hamrec")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad flags; the contract here reserves 2 for
-    data errors, so usage failures are remapped to exit code 1, and their
-    message comes first, as ``hamrec: error:`` like every other failure."""
+    data errors, so a usage failure is raised as a UsageError, the usage
+    after its message, for :func:`main` to report like any other."""
 
     def error(self, message):
-        self.exit(1, f"hamrec: error: {message}\n{self.format_usage()}")
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
 
 
 def _ensure_writable(*paths: str | None) -> None:
-    """Each output path of one command is non-empty, writable and a different file."""
-    files = [p for p in paths if p not in (None, "-")]
-    if "" in files:
+    """Each output path of one command (None: no such output) is non-empty,
+    writable and a different file; stdout ("-") counts as one file."""
+    paths = [p for p in paths if p is not None]
+    if "" in paths:
         raise UsageError("output path must not be empty")
-    if len({os.path.realpath(p) for p in files}) < len(files):
-        raise UsageError(f"output paths name the same file: {', '.join(files)}")
-    for path in files:
+    targets = [p if p == "-" else os.path.realpath(p) for p in paths]
+    if len(set(targets)) < len(targets):
+        raise UsageError(f"output paths name the same file: {', '.join(paths)}")
+    for path in (p for p in paths if p != "-"):
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             raise UsageError(f"output directory does not exist: {parent}")
@@ -67,29 +66,34 @@ def _ensure_writable(*paths: str | None) -> None:
             raise UsageError(f"output directory not writable: {parent}")
 
 
-def _emit(*outputs: tuple[str, str | None]) -> None:
-    """Write each ``(text, path)`` output, None or "-" meaning stdout.
+def _emit(*outputs: tuple[str, str]) -> None:
+    """Write each ``(text, path)`` output, "-" meaning stdout.
 
     Every text is computed before this is called; the files are written
     together through :func:`write_files`, then stdout.
     """
-    lines = [(t if t.endswith("\n") else t + "\n", p) for t, p in outputs]
-    write_files({p: t for t, p in lines if p not in (None, "-")})
-    for text, path in lines:
-        if path in (None, "-"):
+    write_files({p: t for t, p in outputs if p != "-"})
+    for text, path in outputs:
+        if path == "-":
             sys.stdout.write(text)
 
 
 def _json_text(obj) -> str:
-    """``obj`` as indented JSON text; NaN or an infinity is a UsageError."""
+    """``obj`` as indented JSON text ending in a newline; NaN or infinity is a UsageError."""
     try:
-        return json.dumps(obj, indent=2, allow_nan=False)
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:  # JSON cannot hold NaN or an infinity
         raise UsageError(f"result cannot be written as JSON: {exc}") from None
 
 
-def _emit_json(obj, path: str | None) -> None:
+def _emit_json(obj, path: str) -> None:
     _emit((_json_text(obj), path))
+
+
+def _progress(args, text: str) -> None:
+    """An ``INFO`` progress line on stderr, written when ``-v`` is given."""
+    if args.verbose:
+        print(f"INFO {text}", file=sys.stderr)
 
 
 def _correct_set(values: list[str]) -> set[str]:
@@ -109,11 +113,11 @@ def _parse_corr(spec: str) -> tuple[str, float]:
 
 def _cmd_reconstruct(args) -> int:
     d = load_distribution(args.input)
-    log.info("loaded %d outcomes (width %d)", len(d), d.width)
+    _progress(args, f"loaded {len(d)} outcomes (width {d.width})")
     t0 = time.perf_counter()
     rep = hammer(d)
     wall = time.perf_counter() - t0
-    log.info("reconstructed in %.3fs", wall)
+    _progress(args, f"reconstructed in {wall:.3f}s")
     outputs = [(distribution_to_json(rep.output), args.output)]
     if args.report:
         report = {
@@ -204,64 +208,57 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
     )
     counts = sample_noisy(ideal_bv(args.key), model, args.trials)
-    log.info("sampled %d trials onto %d outcomes", args.trials, len(counts))
+    _progress(args, f"sampled {args.trials} trials onto {len(counts)} outcomes")
     _emit((distribution_to_json(counts), args.output))
     return 0
-
-
-_HANDLERS = {
-    "reconstruct": _cmd_reconstruct,
-    "spectrum": _cmd_spectrum,
-    "ehd": _cmd_ehd,
-    "metrics": _cmd_metrics,
-    "qaoa": _cmd_qaoa,
-    "synth": _cmd_synth,
-}
 
 
 def _build_parser() -> _Parser:
     top = _Parser(prog="hamrec", description=__doc__.split("\n")[0])
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = top.add_subparsers(dest="subcommand", metavar="COMMAND")
+    sub = top.add_subparsers(metavar="COMMAND")
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, run, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_, description=help_)
+        p.set_defaults(run=run)
         p.add_argument("-v", "--verbose", action="count", default=0,
                        help="log progress to stderr (repeat for more)")
-        p.add_argument("--output", default=None,
+        p.add_argument("--output", default="-",
                        help="result path (default: stdout; '-' for stdout)")
         return p
 
-    p = add("reconstruct", "sharpen a noisy distribution by Hamming-neighborhood scoring")
+    p = add("reconstruct", _cmd_reconstruct,
+            "sharpen a noisy distribution by Hamming-neighborhood scoring")
     p.add_argument("--input", required=True, help="counts or probabilities JSON ('-' for stdin)")
     p.add_argument("--report", default=None, help="also write CHS/weights/counters/timing JSON")
 
-    p = add("spectrum", "bucket outcomes by Hamming distance to the correct set")
+    p = add("spectrum", _cmd_spectrum, "bucket outcomes by Hamming distance to the correct set")
     p.add_argument("--input", required=True)
     p.add_argument("--correct", required=True, action="append",
                    help="correct bitstring (repeat or comma-separate for several)")
     p.add_argument("--csv", action="store_true", help="emit d,bitstring,probability rows")
 
-    p = add("ehd", "expected Hamming distance of the error mass from the correct set")
+    p = add("ehd", _cmd_ehd, "expected Hamming distance of the error mass from the correct set")
     p.add_argument("--input", required=True)
     p.add_argument("--correct", required=True, action="append")
     p.add_argument("--mode", choices=("normalized", "raw"), default="normalized")
 
-    p = add("metrics", "success metrics (PST/IST, optional TVD) or before/after ratios")
+    p = add("metrics", _cmd_metrics,
+            "success metrics (PST/IST, optional TVD) or before/after ratios")
     p.add_argument("--input", default=None)
     p.add_argument("--correct", required=True, action="append")
     p.add_argument("--reference", default=None, help="ideal distribution JSON for TVD")
     p.add_argument("--before", default=None, help="distribution before reconstruction")
     p.add_argument("--after", default=None, help="distribution after reconstruction")
 
-    p = add("qaoa", "Max-Cut expected cost, cost ratio, and quality curve")
+    p = add("qaoa", _cmd_qaoa, "Max-Cut expected cost, cost ratio, and quality curve")
     p.add_argument("--graph", required=True, help='graph JSON {"n": ..., "edges": [[u,v,w], ...]}')
     p.add_argument("--counts", required=True, help="sampled distribution JSON")
     p.add_argument("--cmin", type=float, default=None,
                    help="known optimum (skips brute force; required above 26 vertices)")
     p.add_argument("--csv", action="store_true", help="emit the quality curve as CSV")
 
-    p = add("synth", "sample a noisy synthetic distribution from an ideal key")
+    p = add("synth", _cmd_synth, "sample a noisy synthetic distribution from an ideal key")
     p.add_argument("--key", required=True, help="hidden bitstring of the ideal output")
     p.add_argument("--flip", type=float, default=0.0, help="per-bit background flip probability")
     p.add_argument("--corr", action="append", default=[],
@@ -272,40 +269,22 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Each call logs to the sys.stderr of that call, at its own -v level.
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-    level = log.level
     try:
         parser = _build_parser()
         args = parser.parse_args(argv)
-        if not args.subcommand:
+        if "run" not in args:
             parser.error("a subcommand is required")
         _ensure_writable(args.output, getattr(args, "report", None))
-        log.addHandler(handler)
-        log.setLevel(max(logging.WARNING - 10 * args.verbose, logging.DEBUG))
-        return _HANDLERS[args.subcommand](args)
+        return args.run(args)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1
     except BrokenPipeError:
         return 0
-    except UsageError as exc:
-        print(f"hamrec: error: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"hamrec: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"hamrec: error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
-        print("hamrec: error: out of memory", file=sys.stderr)
-        return 1
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
+    except (UsageError, ParseError, OSError, MemoryError) as exc:
+        message = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"hamrec: error: {message}", file=sys.stderr)
+        return 2 if isinstance(exc, ParseError) else 1
 
 
 if __name__ == "__main__":

@@ -56,6 +56,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A real number of any real type, numpy's included, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def hamming_distance(a: str, b: str) -> int:
     """Number of differing bit positions between two equal-width outcomes."""
     return min_distance_to_set(a, [b])
@@ -80,7 +85,7 @@ class _Packed:
 def _check_entry(key, weight, width: int, kind: str) -> None:
     """Raise UsageError for the first check that one entry fails."""
     _check_bitstring(key, width=width)
-    if isinstance(weight, bool) or not isinstance(weight, numbers.Real):
+    if not _is_real(weight):
         raise UsageError(f"weight for outcome {key!r} is not a number: {weight!r}")
     if kind == "counts":
         if not isinstance(weight, numbers.Integral):

@@ -10,7 +10,6 @@ only fixes bookkeeping.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +19,7 @@ from .core import (
     ParseError,
     UsageError,
     _is_integer,
+    _is_real,
     as_probabilities,
     code_bits,
     pack_outcomes,
@@ -75,7 +75,7 @@ class CutGraph:
             if key in seen:
                 raise UsageError(f"duplicate edge ({u}, {v})")
             seen.add(key)
-            if isinstance(w, bool) or not isinstance(w, numbers.Real):
+            if not _is_real(w):
                 raise UsageError(f"edge weight must be a number, got {edge!r}")
             try:
                 w = float(w)

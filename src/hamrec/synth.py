@@ -21,6 +21,7 @@ from .core import (
     UsageError,
     _check_bitstring,
     _is_integer,
+    _is_real,
     _Packed,
     as_probabilities,
     pack_bits,
@@ -49,7 +50,10 @@ class NoiseModel:
 
     Each trial first draws an ideal outcome, then with probability q_i
     applies correlated mask i (XOR); otherwise every bit flips
-    independently with probability ``per_bit_flip``.
+    independently with probability ``per_bit_flip``. Probabilities are
+    real numbers (not ``bool`` or ``str``), ``correlated_errors`` is a
+    sequence of (mask, q) pairs, stored as a tuple; anything else raises
+    :class:`UsageError`.
     """
 
     per_bit_flip: float = 0.0
@@ -59,14 +63,24 @@ class NoiseModel:
     def __post_init__(self):
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise UsageError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0.0 <= self.per_bit_flip < 1.0:
-            raise UsageError(f"per_bit_flip must be in [0, 1), got {self.per_bit_flip}")
+        if not (_is_real(self.per_bit_flip) and 0.0 <= self.per_bit_flip < 1.0):
+            raise UsageError(f"per_bit_flip must be a number in [0, 1), got {self.per_bit_flip!r}")
+        try:
+            errors = tuple(self.correlated_errors)
+        except TypeError:
+            raise UsageError(
+                f"correlated_errors is not a sequence: {self.correlated_errors!r}") from None
         total = 0.0
-        for mask, q in self.correlated_errors:
+        for entry in errors:
+            try:
+                mask, q = entry
+            except (TypeError, ValueError):
+                raise UsageError(f"correlated error {entry!r} must be a (mask, q) pair") from None
             _check_bitstring(mask)
-            if not 0.0 <= q <= 1.0:
-                raise UsageError(f"correlated error probability {q} outside [0, 1]")
+            if not (_is_real(q) and 0.0 <= q <= 1.0):
+                raise UsageError(f"correlated error probability {q!r} is not a number in [0, 1]")
             total += q
+        object.__setattr__(self, "correlated_errors", errors)
         if total > 1.0 + 1e-12:
             raise UsageError(f"correlated error probabilities sum to {total} > 1")
 
@@ -80,22 +94,24 @@ def ideal_bv(key: str) -> Distribution:
 def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distribution:
     """Draw ``trials`` noisy samples from an ideal distribution.
 
-    Deterministic for a fixed model seed. The generator is consumed in
-    three blocks of uniform doubles — base-outcome draws, error-category
-    draws, then a trials-by-width block of per-bit draws — so the stream
-    layout does not depend on which branches individual trials take.
-    Every block is drawn from the same stream in chunks of
-    ``max(1, SAMPLE_BLOCK_ELEMENTS // width)`` trials; consecutive draws
-    yield the same doubles as one large draw, so seeded outputs do not
-    depend on the chunk size. Nothing is drawn after the per-bit block,
-    so it is skipped when ``per_bit_flip`` is 0.
+    Deterministic for a fixed model seed. The seeded PCG64 stream holds
+    three blocks of uniform doubles — ``trials`` base-outcome draws,
+    ``trials`` error-category draws, then a trials-by-width block of
+    per-bit draws — so the stream layout does not depend on which branches
+    individual trials take. PCG64 spends one 64-bit step on each double,
+    so block k is read by a generator advanced ``k * trials`` steps.
+    Chunks of ``max(1, SAMPLE_BLOCK_ELEMENTS // width)`` trials take
+    their draws from the three blocks in one pass; consecutive draws yield
+    the same doubles as one large draw, so seeded outputs do not depend on
+    the chunk size. Nothing is drawn after the per-bit block, so it is
+    skipped when ``per_bit_flip`` is 0.
 
-    The sampler holds one packed code row per trial, one flag per trial
-    and fixed-size chunk temporaries. Each row is the ideal outcome's code
-    XOR the packed mask of its category (all zeros for background
-    trials), XOR the packed per-bit flips of background trials. Rows of
-    one word (width <= 64) are counted by one in-place sort of the words;
-    wider rows by :func:`hamrec.core.sort_rows`. No bitstring is made.
+    The sampler holds one packed code row per trial and fixed-size chunk
+    temporaries. Each row is the ideal outcome's code XOR the packed mask
+    of its category (all zeros for background trials), XOR the packed
+    per-bit flips of background trials. Rows of one word (width <= 64) are
+    counted by one in-place sort of the words; wider rows by
+    :func:`hamrec.core.sort_rows`. No bitstring is made.
     """
     if not (_is_integer(trials) and trials >= 1):
         raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
@@ -113,23 +129,19 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     mask_table = pack_outcomes([m for m, _ in model.correlated_errors] + ["0" * width], width)
 
     rows = max(1, SAMPLE_BLOCK_ELEMENTS // width)
-    chunks = [slice(start, min(start + rows, trials)) for start in range(0, trials, rows)]
     codes = np.empty((trials, ideal.codes.shape[1]), dtype=np.uint64)
-    background = np.empty(trials, dtype=bool)
-    rng = np.random.Generator(np.random.PCG64(model.seed))
-    for c in chunks:
-        base_idx = np.searchsorted(cum, rng.random(c.stop - c.start), side="right")
+    base_rng, category_rng, flip_rng = (
+        np.random.Generator(np.random.PCG64(model.seed).advance(k * trials)) for k in range(3))
+    for start in range(0, trials, rows):
+        c = slice(start, min(start + rows, trials))
+        base_idx = np.searchsorted(cum, base_rng.random(c.stop - c.start), side="right")
         codes[c] = ideal.codes[np.minimum(base_idx, len(ideal) - 1, out=base_idx)]
-    for c in chunks:
-        category = np.searchsorted(mask_edges, rng.random(c.stop - c.start), side="right")
+        category = np.searchsorted(mask_edges, category_rng.random(c.stop - c.start), side="right")
         codes[c] ^= mask_table[category]
-        np.equal(category, n_masks, out=background[c])
-    if model.per_bit_flip > 0.0:
-        for c in chunks:
-            flips = rng.random((c.stop - c.start, width)) < model.per_bit_flip
-            flips &= background[c, None]
+        if model.per_bit_flip > 0.0:
+            flips = flip_rng.random((c.stop - c.start, width)) < model.per_bit_flip
+            flips &= (category == n_masks)[:, None]
             codes[c] ^= pack_bits(flips)
-    del background
 
     if codes.shape[1] == 1:  # one word per row: sort the words in place
         words = codes.ravel()

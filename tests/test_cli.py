@@ -171,6 +171,16 @@ class TestReconstructCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert not out.exists()
 
+    @pytest.mark.parametrize("outputs", [["--report", "-"], ["--output", "-", "--report", "-"]],
+                             ids=["default-output", "explicit-output"])
+    def test_two_outputs_on_stdout_rejected(self, counts_file, capsys, monkeypatch, outputs):
+        # Two JSON texts in one stream are not JSON: stdout counts as one file.
+        monkeypatch.setattr("hamrec.cli.hammer", lambda d: pytest.fail("hammer ran"))
+        assert main(["reconstruct", "--input", str(counts_file), *outputs]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hamrec: error: output paths name the same file: -, -\n"
+
     def test_missing_required_flag(self, capsys):
         assert main(["reconstruct"]) == 1
 

@@ -453,3 +453,63 @@ def test_scaled_counts_give_bit_identical_outputs(case, data):
     assert scaled.output == plain.output
     assert scaled.chs.values.tolist() == plain.chs.values.tolist()
     assert scaled.pairs_computed == plain.pairs_computed
+
+
+@st.composite
+def any_width_supports(draw):
+    """(width, {code: count}, mask, perm) at a width of 1-130 bits: up to
+    511 outcomes of distinct counts or of 1-3 tied levels, an XOR mask and
+    a permutation of the bit positions."""
+    width = draw(st.integers(min_value=1, max_value=130))
+    size = min(draw(st.integers(min_value=1, max_value=511)), 2 ** width)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    codes = set()
+    while len(codes) < size:
+        codes.add(rng.getrandbits(width))
+    if draw(st.booleans()):
+        levels = [1, 2, 3][:draw(st.integers(min_value=1, max_value=3))]
+        counts = [rng.choice(levels) for _ in codes]
+    else:
+        counts = rng.sample(range(1, 10 * size), size)
+    perm = list(range(width))
+    rng.shuffle(perm)
+    return width, dict(zip(sorted(codes), counts)), rng.getrandbits(width), perm
+
+
+def _wide_tie_groups():
+    # 400 outcomes of three counts at width 60: under a budget of 1 << 10
+    # every block that ends at column 366 or later is binned by tie group.
+    rng = random.Random(60)
+    codes = set()
+    while len(codes) < 400:
+        codes.add(rng.getrandbits(60))
+    perm = list(range(60))
+    rng.shuffle(perm)
+    counts = {c: rng.choice([1, 2, 3]) for c in sorted(codes)}
+    return 60, counts, rng.getrandbits(60), perm
+
+
+@settings(max_examples=40)
+@pytest.mark.parametrize("budget", [hamrec.analysis.PAIR_BLOCK_ELEMENTS, 1 << 10])
+@example(case=_wide_tie_groups())
+@given(case=any_width_supports())
+def test_xor_and_bit_permutations_at_any_width(budget, case):
+    # Both maps keep every Hamming distance. The default budget bins every
+    # support here as one square; 1 << 10 sends those of more than 32
+    # outcomes through the row blocks, and wide blocks of few tie groups
+    # through the tie-group path.
+    width, counts, mask, perm = case
+    key = f"0{width}b"
+    strings = {format(c, key): k for c, k in counts.items()}
+    moves = (lambda s: format(int(s, 2) ^ mask, key), lambda s: "".join(s[i] for i in perm))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hamrec.analysis, "PAIR_BLOCK_ELEMENTS", budget)
+        out = hammer(from_counts(strings)).output.entries
+        chs = global_chs(normalize(from_counts(strings))).values.tolist()
+        for move in moves:
+            moved = from_counts({move(s): k for s, k in strings.items()})
+            out_moved = hammer(moved).output.entries
+            for s in strings:
+                assert abs(out_moved[move(s)] - out[s]) <= TOL
+            moved_chs = global_chs(normalize(moved)).values.tolist()
+            assert moved_chs == pytest.approx(chs, rel=TOL, abs=TOL)

@@ -55,6 +55,33 @@ class TestNoiseModel:
         NoiseModel(per_bit_flip=0.02, correlated_errors=(("01", 0.5), ("10", 0.5)))
 
 
+class TestNoiseModelInputTypes:
+    @pytest.mark.parametrize("kwargs", [
+        {"per_bit_flip": "0.1"},
+        {"per_bit_flip": True},
+        {"correlated_errors": (("01", "0.1"),)},
+        {"correlated_errors": (("01", True),)},
+        {"correlated_errors": None},
+        {"correlated_errors": 5},
+        {"correlated_errors": (("01",),)},
+        {"correlated_errors": ("01",)},  # the string unpacks as ("0", "1")
+        {"correlated_errors": (("01", 0.1, 0.2),)},
+    ], ids=["str-flip", "bool-flip", "str-q", "bool-q", "none", "int", "one-item",
+            "bare-string", "three-items"])
+    def test_wrong_types_are_usage_errors(self, kwargs):
+        with pytest.raises(UsageError):
+            NoiseModel(**kwargs)
+
+    def test_any_sequence_of_pairs_is_stored_as_a_tuple(self):
+        pairs = [("01", 0.25), ("10", np.float64(0.5))]
+        assert NoiseModel(correlated_errors=pairs).correlated_errors == tuple(pairs)
+        once = NoiseModel(correlated_errors=iter(pairs), seed=3)
+        assert once.correlated_errors == tuple(pairs)
+        model = NoiseModel(correlated_errors=tuple(pairs), seed=3)
+        assert sample_noisy(ideal_bv("00"), once, 100) == sample_noisy(ideal_bv("00"), model, 100)
+        NoiseModel(per_bit_flip=np.float32(0.125))  # numpy reals are numbers
+
+
 class TestSampleNoisy:
     def test_noise_free_stays_on_support(self):
         out = sample_noisy(ideal_bv("1011"), NoiseModel(seed=1), trials=500)
