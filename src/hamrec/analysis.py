@@ -141,9 +141,10 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     * A support of fewer than ``PAIR_BLOCK_ELEMENTS`` pairs computes the
       whole N x N square at once and keys it ``dist + row * (width + 1)``.
       One unweighted bincount of the keys gives each row's pair counts, so
-      the CHS is ``p @ counts`` (distance is symmetric), and one weighted by
-      ``p`` on the columns before ``gstart[i]`` and 0 after gives
-      ``lighter``.
+      the CHS is ``p @ counts`` (distance is symmetric), and one of only
+      the keys of the columns before ``gstart[i]``, weighted by ``p``,
+      gives ``lighter``. Leaving out the pairs of weight 0 changes no sum,
+      and the keys and weights it bins hold at most half the square.
     * A larger support computes only the lower triangle, in row blocks of
       about ``PAIR_BLOCK_ELEMENTS`` pairs, and bins each row's columns
       ``[:i]`` in one of two ways, chosen per block from the input:
@@ -167,10 +168,11 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     Codes of width <= 32 fill only the top half of their one word, so after
     the sort they are narrowed once to uint32 lanes, which halves the XOR
     traffic; the distances, and so the results, are the same. The row
-    blocks reuse one lane-typed XOR scratch and one uint8 distance buffer,
-    and the column path copies each row's columns ``[:i]`` once into an
-    intp buffer that all of its bincounts read, instead of each bincount
-    converting the uint8 row again.
+    blocks reuse one lane-typed XOR scratch and one distance buffer (uint8
+    up to width 255, uint16 above) at every width, and the column path
+    copies each row's columns ``[:i]`` once into an intp buffer that all of
+    its bincounts read, instead of each bincount converting the distance
+    row again.
     """
     n_bins = chs_length(width)
     n = codes.shape[0]
@@ -182,10 +184,11 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     if n * n < PAIR_BLOCK_ELEMENTS:
         size = n * (width + 1)
         keys = np.add(pairwise_distances(c, c), np.arange(0, size, width + 1)[:, None],
-                      dtype=np.intp).ravel()
-        counts = np.bincount(keys, minlength=size).reshape(n, width + 1)
+                      dtype=np.intp)
+        counts = np.bincount(keys.ravel(), minlength=size).reshape(n, width + 1)
         chs = p @ counts[:, :n_bins]
-        light = np.bincount(keys, weights=np.where(np.arange(n) < gstart[:, None], p, 0.0).ravel(),
+        is_lighter = np.arange(n) < gstart[:, None]
+        light = np.bincount(keys[is_lighter], weights=np.broadcast_to(p, (n, n))[is_lighter],
                             minlength=size)
         lighter[order] = light.reshape(n, width + 1)[:, :n_bins]  # back in the caller's order
         return PairHistograms(chs=chs, lighter=lighter, pairs_computed=n * n)
@@ -203,7 +206,7 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     # each time.
     size = max(PAIR_BLOCK_ELEMENTS, n)
     scratch = np.empty(size, dtype=c.dtype)
-    out = np.empty(size, dtype=np.uint8)
+    out = np.empty(size, dtype=np.uint8 if width <= 255 else np.uint16)
     row = np.empty(n, dtype=np.intp)
     while start < n:
         # The largest stop with rows x columns = (stop - start) * stop

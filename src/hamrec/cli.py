@@ -222,7 +222,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_, description=help_)
         p.set_defaults(run=run)
         p.add_argument("-v", "--verbose", action="count", default=0,
-                       help="log progress to stderr (repeat for more)")
+                       help="log progress to stderr")
         p.add_argument("--output", default="-",
                        help="result path (default: stdout; '-' for stdout)")
         return p

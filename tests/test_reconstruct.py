@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hamrec import (
     ChsVector,
     Distribution,
     UsageError,
+    WeightVector,
     from_counts,
     global_chs,
     hammer,
@@ -19,6 +20,7 @@ from hamrec import (
     normalize,
     weights_from_chs,
 )
+from hamrec.core import _Packed
 from conftest import random_distribution
 from oracles import hammer_oracle, score_oracle
 
@@ -246,3 +248,58 @@ class TestHammer:
         out_f = hammer(flipped).output
         for k, v in out.entries.items():
             assert out_f.entries[flip(k)] == pytest.approx(v, abs=1e-12)
+
+
+@st.composite
+def counts_or_probabilities(draw):
+    """(width, {bitstring: weight}, kind) at widths 1-130. Probabilities are
+    10**-e normalised, e up to 323, so subnormal inputs and outputs that
+    hammer floors at the smallest subnormal both occur."""
+    width = draw(st.integers(min_value=1, max_value=130))
+    codes = draw(st.sets(st.integers(min_value=0, max_value=2 ** width - 1),
+                         min_size=1, max_size=16))
+    keys = [format(c, f"0{width}b") for c in codes]
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.integers(min_value=0, max_value=10**6),
+                               min_size=len(keys), max_size=len(keys)))
+        return width, dict(zip(keys, [1, *counts[1:]])), "counts"
+    exponents = draw(st.lists(st.integers(min_value=0, max_value=323),
+                              min_size=len(keys), max_size=len(keys)))
+    raw = [10.0 ** -e for e in [0, *exponents[1:]]]
+    total = sum(raw)
+    return width, {k: v / total for k, v in zip(keys, raw)}, "probabilities"
+
+
+class TestDerivedValues:
+    """What normalize and hammer derive from a checked distribution is
+    built without a second check, on the input's own codes, and is never
+    looser than what the checked constructors build from the same arrays."""
+
+    @staticmethod
+    def assert_as_if_checked(derived, source):
+        assert derived.codes is source.codes
+        assert not derived.codes.flags.writeable and not derived.weights.flags.writeable
+        checked = Distribution(derived.width, _Packed(derived.codes.copy(), derived.weights.copy()),
+                               derived.kind)
+        assert derived == checked
+        assert derived.weights.dtype == checked.weights.dtype
+        assert derived.weights.tobytes() == checked.weights.tobytes()
+
+    @given(counts_or_probabilities())
+    @example((2, {"00": 1e-320, "01": 1 - 1e-320}, "probabilities"))  # the underflow floor
+    @example((4, SUBNORMAL_TIES, "probabilities"))
+    @example((130, {"1" * 130: 2**62, "0" * 130: 2**62 - 1}, "counts"))
+    def test_never_looser_than_checked(self, case):
+        width, entries, kind = case
+        d = Distribution(width, entries, kind=kind)
+        self.assert_as_if_checked(normalize(d), d)
+        rep = hammer(d)
+        self.assert_as_if_checked(rep.output, d)
+        chs = ChsVector(width=width, values=rep.chs.values.copy(),
+                        pair_evaluations=rep.chs.pair_evaluations)
+        weights = WeightVector(width=width, values=rep.weights.values.copy())
+        for derived, checked in ((rep.chs, chs), (rep.weights, weights)):
+            assert type(derived) is type(checked) and derived.width == checked.width
+            assert derived.values.dtype == checked.values.dtype
+            assert derived.values.tobytes() == checked.values.tobytes()
+        assert rep.chs.pair_evaluations == chs.pair_evaluations == len(d) ** 2
