@@ -22,12 +22,12 @@ import numpy as np
 from .core import (
     Distribution,
     UsageError,
+    as_probabilities,
     code_strings,
     min_distances_to_set,
     pack_outcomes,
     pairwise_distances,
     reference_codes,
-    require_probabilities,
 )
 
 # Supports with fewer than this many (row, column) pairs are binned as one
@@ -47,12 +47,13 @@ def max_neighbor_distance(width: int) -> int:
 
 
 def checked_bins(values, width: int, what: str) -> np.ndarray:
-    """``values`` as a float array of one non-negative entry per distance bin."""
+    """``values`` as a float array of one non-negative entry per distance bin;
+    NaN is rejected, ``+inf`` is kept."""
     values = np.asarray(values, dtype=float)
     if values.shape != (chs_length(width),):
         raise UsageError(f"{what} for width {width} must have {chs_length(width)} entries")
-    if (values < 0).any():
-        raise UsageError(f"{what} entries must be non-negative")
+    if not (values >= 0).all():
+        raise UsageError(f"{what} entries must be non-negative and not NaN")
     return values
 
 
@@ -90,8 +91,9 @@ class HammingSpectrum:
 
 
 def build_spectrum(d: Distribution, reference) -> HammingSpectrum:
-    """Bucket every outcome of ``d`` by its minimum distance to ``reference``."""
-    require_probabilities(d, "build_spectrum")
+    """Bucket every outcome of ``d`` by its minimum distance to ``reference``;
+    counts are normalized first."""
+    d = as_probabilities(d)
     refs = reference_codes(reference, d.width)
     dist = min_distances_to_set(d.codes, refs)
     # By distance, then descending probability; lexsort is stable, so ties
@@ -107,8 +109,9 @@ def chs_for_outcome(d: Distribution, x: str) -> ChsVector:
     """Mass of ``d`` at each distance k < n/2 from the single outcome ``x``.
 
     The self term (k = 0) is included when ``x`` carries probability.
+    Counts are normalized first.
     """
-    require_probabilities(d, "chs_for_outcome")
+    d = as_probabilities(d)
     n_bins = chs_length(d.width)
     dist = min_distances_to_set(d.codes, pack_outcomes([x], d.width))
     keep = dist < n_bins
@@ -273,9 +276,9 @@ def global_chs(d: Distribution) -> ChsVector:
 
     values[k] sums p(y) over every ordered pair (x, y) at distance k < n/2,
     so values[0] is the total probability and the reported pair counter is
-    exactly N*N.
+    exactly N*N. Counts are normalized first.
     """
-    require_probabilities(d, "global_chs")
+    d = as_probabilities(d)
     values = pair_histograms(d.codes, d.weights, d.width).chs
     return ChsVector(width=d.width, values=values, pair_evaluations=len(d) ** 2)
 
@@ -286,10 +289,11 @@ def ehd(d: Distribution, reference, mode: str = "normalized") -> float:
     raw mode returns sum(p(x) * minHD(x, R)) over incorrect outcomes;
     normalized mode (default) divides by the incorrect mass, yielding a
     weighted average in [0, n]. An error-free distribution gives 0.
+    Counts are normalized first.
     """
     if mode not in ("normalized", "raw"):
         raise UsageError(f"ehd mode must be normalized or raw, got {mode!r}")
-    require_probabilities(d, "ehd")
+    d = as_probabilities(d)
     dist = min_distances_to_set(d.codes, reference_codes(reference, d.width))
     probs = d.weights
     wrong = dist > 0

@@ -26,7 +26,6 @@ from .analysis import build_spectrum, ehd, spectrum_to_csv, spectrum_to_json_obj
 from .core import (
     ParseError,
     UsageError,
-    as_probabilities,
     distribution_to_json,
     load_distribution,
     write_files,
@@ -137,7 +136,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    d = as_probabilities(load_distribution(args.input))
+    d = load_distribution(args.input)
     spec = build_spectrum(d, _correct_set(args.correct))
     if args.csv:
         _emit((spectrum_to_csv(spec), args.output))
@@ -147,7 +146,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_ehd(args) -> int:
-    d = as_probabilities(load_distribution(args.input))
+    d = load_distribution(args.input)
     value = ehd(d, _correct_set(args.correct), mode=args.mode)
     _emit_json({"ehd": value, "mode": args.mode, "width": d.width}, args.output)
     return 0
@@ -161,7 +160,7 @@ def _ratio(num: float, den: float) -> float | None:
 
 def _cmd_metrics(args) -> int:
     correct = _correct_set(args.correct)
-    reference = as_probabilities(load_distribution(args.reference)) if args.reference else None
+    reference = load_distribution(args.reference) if args.reference else None
     if args.before or args.after:
         if not (args.before and args.after) or args.input:
             raise UsageError("use either --input or both --before and --after")
@@ -186,7 +185,7 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_qaoa(args) -> int:
     graph = load_graph(args.graph)
-    d = as_probabilities(load_distribution(args.counts))
+    d = load_distribution(args.counts)
     cmin = float(args.cmin) if args.cmin is not None else c_min(graph)
     c_exp = expected_cost(graph, d)
     cr = cost_ratio(graph, d, c_min_override=cmin)

@@ -124,9 +124,8 @@ def _map_arrays(entries: Mapping, width: int, kind: str) -> _Packed:
 def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """The one array validator: read-only copies of the codes in ascending
     order and of their weights, with zero weights dropped. Weights are
-    checked in the caller's order, so an error names the first bad entry.
-    One-word codes already in strictly ascending order are checked but not
-    sorted again."""
+    checked in the caller's order, so an error names the first bad entry;
+    the codes are sorted once, which also finds a repeated outcome."""
     codes, weights = np.asarray(packed.codes), np.asarray(packed.weights)
     if (codes.dtype != np.uint64 or weights.ndim != 1
             or codes.shape != (len(weights), (width + 63) // 64)
@@ -140,12 +139,10 @@ def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray,
         _check_entry(key, weights[first].item(), width, kind)
     keep = weights != 0
     codes, weights = codes[keep], weights[keep]  # copies, so no caller's array is aliased
-    # Strictly ascending one-word codes hold no duplicate and are in order.
-    if codes.shape[1] != 1 or not (codes[1:, 0] > codes[:-1, 0]).all():
-        order, first = sort_rows(codes)
-        if not first.all():
-            raise UsageError("an outcome appears more than once")
-        codes, weights = codes[order], weights[order]
+    order, first = sort_rows(codes)
+    if not first.all():
+        raise UsageError("an outcome appears more than once")
+    codes, weights = codes[order], weights[order]
     with np.errstate(over="ignore"):  # an overflow to inf fails the sum check below
         total = float(weights.sum(dtype=np.float64))  # an int64 sum could wrap
     if kind == "counts" and total >= COUNT_LIMIT / 2 and sum(weights.tolist()) >= COUNT_LIMIT:
@@ -187,6 +184,10 @@ class Distribution:
     ``PROB_SUM_TOL``. Anything else, a non-mapping ``entries`` included,
     raises :class:`UsageError` naming the first bad entry in the map's
     order. Zero-weight entries are dropped.
+
+    Every function that takes a distribution accepts either kind: its
+    first step is :func:`as_probabilities`, which returns probabilities as
+    they are and normalizes counts.
 
     Validation happens here, at the boundary, and only here: every
     distribution a caller builds, parses or loads is checked once.
@@ -329,14 +330,9 @@ def normalize(d: Distribution) -> Distribution:
     return d._with_probabilities(d.weights / d.total())
 
 
-# The name callers use when they need probabilities, whatever the input kind.
+# The first step of every function that takes a distribution, so each
+# accepts counts or probabilities alike.
 as_probabilities = normalize
-
-
-def require_probabilities(d: Distribution, op: str) -> None:
-    """Raise unless ``d`` already holds probabilities; ``op`` names the caller."""
-    if d.kind != "probabilities":
-        raise UsageError(f"{op} requires a normalized distribution; call normalize() first")
 
 
 def reference_codes(reference, width: int) -> np.ndarray:
@@ -459,19 +455,31 @@ def distribution_from_json_obj(obj) -> Distribution:
     return _parsed(obj, "counts" if counts else "probabilities")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object as a dict; ParseError names its first repeated key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"key {key!r} appears more than once")
+            seen.add(key)
+    return obj
+
+
 def read_json(path, parse):
     """``parse`` of the JSON file at ``path``, ``"-"`` meaning standard input.
 
-    Invalid JSON and the errors of ``parse`` raise :class:`ParseError`
-    prefixed with the path, or with ``stdin``.
+    Invalid JSON, an object that repeats a key, and the errors of ``parse``
+    raise :class:`ParseError` prefixed with the path, or with ``stdin``.
     """
     name = "stdin" if path == "-" else path
     try:
         if path == "-":
-            obj = json.load(sys.stdin)
+            obj = json.load(sys.stdin, object_pairs_hook=_unique_keys)
         else:
             with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
+                obj = json.load(fh, object_pairs_hook=_unique_keys)
         return parse(obj)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{name}: invalid JSON: {exc}") from None

@@ -20,7 +20,6 @@ from .core import (
     as_probabilities,
     min_distances_to_set,
     reference_codes,
-    require_probabilities,
 )
 
 
@@ -67,11 +66,11 @@ def ist(d: Distribution, correct) -> float:
 
 
 def tvd(p: Distribution, q: Distribution) -> float:
-    """Total variational distance over the union of supports."""
+    """Total variational distance over the union of supports; counts, as
+    either argument, are normalized first."""
     if p.width != q.width:
         raise UsageError(f"width mismatch: {p.width} vs {q.width}")
-    require_probabilities(p, "tvd")
-    require_probabilities(q, "tvd")
+    p, q = as_probabilities(p), as_probabilities(q)
     # Each outcome's slot in the union of the two supports.
     union, slot = np.unique(np.concatenate([p.codes, q.codes]), axis=0, return_inverse=True)
     diff = np.zeros(len(union))
@@ -93,5 +92,5 @@ def merit_report(d: Distribution, correct, reference: Distribution | None = None
     return MeritReport(
         pst=pst(probs, correct),
         ist=ist(probs, correct),
-        tvd=None if reference is None else tvd(probs, as_probabilities(reference)),
+        tvd=None if reference is None else tvd(probs, reference),
     )

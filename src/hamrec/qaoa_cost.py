@@ -24,7 +24,6 @@ from .core import (
     code_bits,
     pack_outcomes,
     read_json,
-    require_probabilities,
 )
 
 # Exhaustive search above this many vertices is not attempted; callers must
@@ -155,10 +154,11 @@ def c_min(g: CutGraph, limit: int = BRUTE_FORCE_LIMIT) -> float:
 
 
 def expected_cost(g: CutGraph, d: Distribution) -> float:
-    """Probability-weighted average cut cost, Σ_x p(x)·C(x)."""
-    require_probabilities(d, "expected_cost")
+    """Probability-weighted average cut cost, Σ_x p(x)·C(x); counts are
+    normalized first."""
     if len(d) == 0:
         raise UsageError("expected_cost of an empty distribution is undefined")
+    d = as_probabilities(d)
     return float(_costs(g, d.codes, d.width) @ d.weights)
 
 
@@ -185,7 +185,7 @@ def _ratios(costs, cmin: float):
 def cost_ratio(g: CutGraph, d: Distribution, c_min_override: float | None = None) -> float:
     """Cost Ratio C_exp / C_min; 1 is optimal, negative means anti-optimal."""
     cmin = _resolved_c_min(g, c_min_override)
-    return float(_ratios(expected_cost(g, as_probabilities(d)), cmin))
+    return float(_ratios(expected_cost(g, d), cmin))
 
 
 def quality_curve(g: CutGraph, d: Distribution, c_min_override: float | None = None) -> QualityCurve:

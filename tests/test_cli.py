@@ -152,6 +152,13 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--input", "-"]) == 2
         assert capsys.readouterr().err.startswith("hamrec: error: stdin: ")
 
+    def test_repeated_key_on_stdin_is_data_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"01": 1, "01": 5, "10": 2}'))
+        assert main(["reconstruct", "--input", "-"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "hamrec: error: stdin: key '01' appears more than once\n"
+
     @pytest.mark.parametrize("via_symlink", [False, True])
     def test_output_and_report_on_one_file_rejected(self, tmp_path, counts_file, capsys,
                                                     monkeypatch, via_symlink):
@@ -370,6 +377,13 @@ class TestQaoaCommand:
         path = tmp_path / "uniform.json"
         path.write_text(json.dumps({format(v, "03b"): 1 for v in range(8)}))
         return path
+
+    def test_repeated_key_in_graph_is_data_error(self, tmp_path, uniform_file, capsys):
+        graph = tmp_path / "dup.json"
+        graph.write_text('{"n": 3, "edges": [[0, 1]], "n": 2}')
+        assert main(["qaoa", "--graph", str(graph), "--counts", str(uniform_file)]) == 2
+        assert capsys.readouterr().err == (
+            f"hamrec: error: {graph}: key 'n' appears more than once\n")
 
     def test_uniform_cost_ratio_zero(self, graph_file, uniform_file, capsys):
         assert main(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import numbers
@@ -10,17 +11,34 @@ from hypothesis import strategies as st
 
 import hamrec.core
 from hamrec import (
+    CutGraph,
     Distribution,
+    NoiseModel,
     ParseError,
     UsageError,
+    WeightVector,
     as_probabilities,
+    build_spectrum,
+    chs_for_outcome,
+    chs_length,
+    cost_ratio,
+    ehd,
+    expected_cost,
     from_counts,
+    global_chs,
     hamming_distance,
     hammer,
+    ist,
     load_distribution,
+    merit_report,
     min_distance_to_set,
+    neighborhood_score,
     normalize,
+    pst,
+    quality_curve,
+    sample_noisy,
     save_distribution,
+    tvd,
 )
 from hamrec.core import (
     _Packed,
@@ -31,6 +49,7 @@ from hamrec.core import (
     pairwise_distances,
     sort_rows,
 )
+from conftest import random_distribution
 from oracles import hd
 
 
@@ -305,6 +324,14 @@ class TestJsonInterchange:
         with pytest.raises(ParseError, match="bad.json"):
             load_distribution(path)
 
+    def test_load_rejects_a_repeated_key(self, tmp_path):
+        # json.loads keeps the last value of a repeated key; a histogram
+        # that lists an outcome twice is malformed, not a count of 5.
+        path = tmp_path / "dup.json"
+        path.write_text('{"01": 1, "10": 2, "01": 5, "10": 3}')
+        with pytest.raises(ParseError, match=r"dup\.json: key '01' appears more than once"):
+            load_distribution(path)
+
     def test_save_preserves_canonical_order(self, tmp_path):
         d = Distribution(width=2, entries={"11": 0.5, "00": 0.5}, kind="probabilities")
         path = tmp_path / "p.json"
@@ -510,8 +537,8 @@ def _ordered_counts(width, size=300, seed=0):
 
 
 class TestOrderedInput:
-    """One-word codes already in strictly ascending order skip the sort;
-    everything else is checked and copied as before."""
+    """Input in any order builds one distribution; what the library derives
+    from a built distribution is not sorted again."""
 
     @pytest.mark.parametrize("width", [24, 70])
     def test_ascending_and_shuffled_maps_build_equal_distributions(self, width):
@@ -523,16 +550,14 @@ class TestOrderedInput:
         assert ordered.outcomes() == list(counts)
         assert normalize(ordered) == normalize(shuffled)
 
-    def test_ordered_distributions_need_no_sort(self, tmp_path, monkeypatch):
+    def test_ordered_distributions_need_no_sort(self, monkeypatch):
         def no_sort(codes):
             raise AssertionError("sort_rows ran")
 
-        monkeypatch.setattr(hamrec.core, "sort_rows", no_sort)
         d = from_counts(_ordered_counts(24))
+        monkeypatch.setattr(hamrec.core, "sort_rows", no_sort)
         hammer(normalize(d))
-        path = tmp_path / "counts.json"
-        save_distribution(d, path)
-        assert load_distribution(path) == d
+        hammer(d)
 
     def test_adjacent_duplicate_still_rejected(self):
         codes = pack_outcomes(["0001", "0010", "0010", "0100"], 4)
@@ -553,3 +578,56 @@ class TestOrderedInput:
         weights = np.array([0.5, np.nan, 0.5, np.nan])
         with pytest.raises(UsageError, match="non-finite weight nan for outcome '0010'"):
             Distribution(4, _Packed(codes, weights), kind="probabilities")
+
+
+def _plain(value):
+    """A result as nested tuples of plain values, so ``==`` compares it exactly."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return tuple(_plain(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_plain, value))
+    return value
+
+
+# Every public function that takes a distribution, called on ``d`` and, where
+# it takes two, on a probability distribution ``q`` in either place. ``ref``
+# is a set of outcomes and ``g`` a graph, both of d's width. The writers
+# (``save_distribution``) are left out: they keep the kind they are given.
+_TAKE_A_DISTRIBUTION = {
+    "normalize": lambda d, q, ref, g: normalize(d),
+    "build_spectrum": lambda d, q, ref, g: build_spectrum(d, ref),
+    "chs_for_outcome": lambda d, q, ref, g: chs_for_outcome(d, min(ref)),
+    "global_chs": lambda d, q, ref, g: global_chs(d),
+    "ehd": lambda d, q, ref, g: (ehd(d, ref), ehd(d, ref, mode="raw")),
+    "pst": lambda d, q, ref, g: pst(d, ref),
+    "ist": lambda d, q, ref, g: ist(d, ref),
+    "tvd": lambda d, q, ref, g: (tvd(d, q), tvd(q, d)),
+    "merit_report": lambda d, q, ref, g: (merit_report(d, ref, q), merit_report(q, ref, d)),
+    "expected_cost": lambda d, q, ref, g: expected_cost(g, d),
+    "cost_ratio": lambda d, q, ref, g: cost_ratio(g, d),
+    "quality_curve": lambda d, q, ref, g: quality_curve(g, d),
+    "hammer": lambda d, q, ref, g: hammer(d),
+    "neighborhood_score": lambda d, q, ref, g: [
+        neighborhood_score(d, x, WeightVector(d.width, np.ones(chs_length(d.width))))
+        for x in d.outcomes()],
+    "sample_noisy": lambda d, q, ref, g: sample_noisy(d, NoiseModel(0.1, seed=7), 256),
+}
+
+
+class TestEntryRule:
+    """Every function that takes a distribution accepts counts: its result on
+    counts is exactly its result on their normalization."""
+
+    @pytest.mark.parametrize("name", list(_TAKE_A_DISTRIBUTION))
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_counts_give_the_result_of_their_probabilities(self, name, seed):
+        rng = random.Random(seed)
+        width = rng.randint(2, 8)
+        counts = random_distribution(rng, width, rng.randint(1, 20), kind="counts")
+        q = random_distribution(rng, width, rng.randint(1, 20))
+        ref = set(rng.sample(counts.outcomes(), rng.randint(1, len(counts))))
+        g = CutGraph(width, tuple((i, i + 1, 1.0) for i in range(width - 1)))
+        call = _TAKE_A_DISTRIBUTION[name]
+        assert _plain(call(counts, q, ref, g)) == _plain(call(normalize(counts), q, ref, g))

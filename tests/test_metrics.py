@@ -104,10 +104,6 @@ class TestTvd:
         with pytest.raises(UsageError):
             tvd(p, q)
 
-    def test_requires_probabilities(self):
-        with pytest.raises(UsageError, match="normalize"):
-            tvd(from_counts({"0": 1}), Distribution(1, {"0": 1.0}, kind="probabilities"))
-
     @given(st.integers(min_value=0, max_value=3000))
     def test_metric_axioms_and_oracle(self, seed):
         rng = random.Random(seed)

@@ -18,7 +18,6 @@ from hamrec import (
     cost_ratio,
     cut_cost,
     expected_cost,
-    from_counts,
     graph_from_json_obj,
     graph_to_json_obj,
     load_graph,
@@ -149,10 +148,6 @@ class TestExpectedCost:
     def test_two_point_average(self):
         d = Distribution(2, {"01": 0.5, "00": 0.5}, kind="probabilities")
         assert expected_cost(SINGLE_EDGE, d) == 0.0
-
-    def test_requires_probabilities(self):
-        with pytest.raises(UsageError, match="normalize"):
-            expected_cost(SINGLE_EDGE, from_counts({"01": 1}))
 
     def test_width_mismatch(self):
         with pytest.raises(UsageError):

@@ -49,6 +49,11 @@ class TestWeights:
         with pytest.raises(UsageError):
             weights_from_chs(ChsVector(width=4, values=np.array([1.0])))
 
+    @pytest.mark.parametrize("values", [[-1.0, 0.5], [np.inf, np.nan], [np.nan, 0.0]])
+    def test_negative_or_nan_weights_rejected(self, values):
+        with pytest.raises(UsageError, match="non-negative"):
+            WeightVector(width=4, values=np.array(values))
+
 
 class TestNeighborhoodScore:
     def test_hand_traced_examples(self):
