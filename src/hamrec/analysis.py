@@ -302,10 +302,7 @@ def ehd(d: Distribution, reference, mode: str = "normalized") -> float:
     raw = float(dist[wrong] @ probs[wrong])
     if mode == "raw":
         return raw
-    wrong_mass = float(probs[wrong].sum())
-    if wrong_mass <= 0.0:
-        return 0.0
-    return raw / wrong_mass
+    return raw / float(probs[wrong].sum())
 
 
 def uniform_ehd_closed_form(width: int) -> float:

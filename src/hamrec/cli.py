@@ -186,8 +186,8 @@ def _cmd_metrics(args) -> int:
 def _cmd_qaoa(args) -> int:
     graph = load_graph(args.graph)
     d = load_distribution(args.counts)
+    c_exp = expected_cost(graph, d)  # checks the width before c_min's brute force
     cmin = float(args.cmin) if args.cmin is not None else c_min(graph)
-    c_exp = expected_cost(graph, d)
     cr = cost_ratio(graph, d, c_min_override=cmin)
     curve = quality_curve(graph, d, c_min_override=cmin)
     if args.csv:

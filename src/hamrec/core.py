@@ -123,7 +123,8 @@ def _map_arrays(entries: Mapping, width: int, kind: str) -> _Packed:
 
 def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """The one array validator: read-only copies of the codes in ascending
-    order and of their weights, with zero weights dropped. Weights are
+    order and of their weights, with zero weights dropped. At least one
+    weight must be positive, so the result is never empty. Weights are
     checked in the caller's order, so an error names the first bad entry;
     the codes are sorted once, which also finds a repeated outcome."""
     codes, weights = np.asarray(packed.codes), np.asarray(packed.weights)
@@ -138,6 +139,8 @@ def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray,
         key = code_strings(codes[first:first + 1], width)[0]
         _check_entry(key, weights[first].item(), width, kind)
     keep = weights != 0
+    if not keep.any():
+        raise UsageError("no outcome has a positive weight")
     codes, weights = codes[keep], weights[keep]  # copies, so no caller's array is aliased
     order, first = sort_rows(codes)
     if not first.all():
@@ -147,7 +150,7 @@ def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray,
         total = float(weights.sum(dtype=np.float64))  # an int64 sum could wrap
     if kind == "counts" and total >= COUNT_LIMIT / 2 and sum(weights.tolist()) >= COUNT_LIMIT:
         raise UsageError("counts sum to 2**63 or more")
-    if kind == "probabilities" and len(weights) and abs(total - 1.0) > PROB_SUM_TOL:
+    if kind == "probabilities" and abs(total - 1.0) > PROB_SUM_TOL:
         raise UsageError(f"probabilities sum to {total!r}, expected 1 +- {PROB_SUM_TOL}")
     codes.flags.writeable = weights.flags.writeable = False
     return codes, weights
@@ -181,9 +184,11 @@ class Distribution:
     ``entries`` maps width-n bitstrings to finite, non-negative real
     weights (not ``bool``): integers for kind="counts", each and in total
     below 2**63, or reals for kind="probabilities" that sum to 1 within
-    ``PROB_SUM_TOL``. Anything else, a non-mapping ``entries`` included,
-    raises :class:`UsageError` naming the first bad entry in the map's
-    order. Zero-weight entries are dropped.
+    ``PROB_SUM_TOL``. Zero-weight entries are dropped, and at least one
+    weight must be positive: a distribution always holds an outcome, as
+    a measured histogram does. ``entries`` has no default. Anything else,
+    a non-mapping ``entries`` included, raises :class:`UsageError` naming
+    the first bad entry in the map's order.
 
     Every function that takes a distribution accepts either kind: its
     first step is :func:`as_probabilities`, which returns probabilities as
@@ -193,7 +198,7 @@ class Distribution:
     distribution a caller builds, parses or loads is checked once.
     Distributions the library derives from a checked one (:func:`normalize`,
     :func:`hamrec.reconstruct.hammer`) are not checked again and share
-    their input's ``codes`` array.
+    their input's ``codes`` array, so they are never empty either.
 
     A distribution is immutable. It holds two read-only arrays: ``codes``,
     the outcomes packed as by :func:`pack_outcomes` in ascending order
@@ -210,7 +215,7 @@ class Distribution:
     weights: np.ndarray
     __hash__ = None
 
-    def __init__(self, width: int, entries: Mapping | _Packed | None = None, kind: str = "counts"):
+    def __init__(self, width: int, entries: Mapping | _Packed, kind: str = "counts"):
         if not (_is_integer(width) and width >= 1):
             raise UsageError(f"width must be an integer >= 1, got {width!r}")
         if kind not in ("counts", "probabilities"):
@@ -218,8 +223,8 @@ class Distribution:
         width = int(width)
         global _last_entries
         _last_entries = (None, None)  # see ``entries``
-        if entries is None or isinstance(entries, Mapping):
-            entries = _map_arrays(entries or {}, width, kind)
+        if isinstance(entries, Mapping):
+            entries = _map_arrays(entries, width, kind)
         elif not isinstance(entries, _Packed):
             raise UsageError(f"entries must be a mapping, got {type(entries).__name__}")
         codes, weights = _checked_arrays(entries, width, kind)
@@ -297,20 +302,17 @@ def _parsed(raw, kind: str) -> Distribution:
     # A first key that is not a bitstring still reaches the validator, which names it.
     width = (isinstance(first, str) and len(first)) or 1
     try:
-        d = Distribution(width=width, entries=raw, kind=kind)
+        return Distribution(width=width, entries=raw, kind=kind)
     except UsageError as exc:
         raise ParseError(str(exc)) from None
-    if len(d) == 0:
-        raise ParseError("no outcome has a positive weight")
-    return d
 
 
 def from_counts(raw: Mapping[str, int]) -> Distribution:
     """Parse a ``{bitstring: count}`` map into a counts distribution.
 
     Counts may be any integer type, numpy integers included. Zero-count keys
-    are dropped; an empty or all-zero map, and anything :class:`Distribution`
-    rejects, raise :class:`ParseError` naming the offending key.
+    are dropped; anything :class:`Distribution` rejects, an empty or
+    all-zero map included, raises :class:`ParseError` with its message.
     """
     return _parsed(raw, "counts")
 
@@ -319,14 +321,13 @@ def normalize(d: Distribution) -> Distribution:
     """Convert to probabilities by dividing each weight by the total.
 
     Probability inputs are returned unchanged, which makes the operation
-    exactly idempotent. Counts and their total stay below 2**63, so no
-    probability underflows to 0. The result is derived from the checked
-    ``d`` and not checked again: it shares ``d.codes``.
+    exactly idempotent. ``d`` holds a positive count, and counts and their
+    total stay below 2**63, so the total is positive and no probability
+    underflows to 0. The result is derived from the checked ``d`` and not
+    checked again: it shares ``d.codes``.
     """
     if d.kind == "probabilities":
         return d
-    if len(d) == 0:
-        raise UsageError("cannot normalize an empty or all-zero distribution")
     return d._with_probabilities(d.weights / d.total())
 
 
@@ -445,8 +446,8 @@ def distribution_from_json_obj(obj) -> Distribution:
 
     All-integer values are treated as counts; any other value switches the
     whole object to probabilities (which must sum to 1 within tolerance).
-    An empty or all-zero object, and anything :class:`Distribution` rejects
-    (NaN and infinities too, which Python's JSON parser accepts), raise
+    Anything :class:`Distribution` rejects (an empty or all-zero object,
+    NaN and infinities too, which Python's JSON parser accepts) raises
     :class:`ParseError`.
     """
     counts = isinstance(obj, dict) and all(
@@ -498,8 +499,6 @@ def distribution_to_json(d: Distribution) -> str:
     The text of ``json.dumps(d.entries, indent=2) + "\\n"``, written line by
     line: ``indent`` makes ``json`` use its pure-Python encoder.
     """
-    if len(d) == 0:
-        return "{}\n"
     lines = [f'  "{k}": {v!r}' for k, v in zip(d.outcomes(), d.weights.tolist())]
     return "{\n" + ",\n".join(lines) + "\n}\n"
 

@@ -54,8 +54,6 @@ def ist(d: Distribution, correct) -> float:
     strongest erroneous outcome. Returns inf when every observed outcome is
     correct, 0.0 when no correct outcome was observed.
     """
-    if len(d) == 0:
-        raise UsageError("ist of an empty distribution is undefined")
     correct = _is_correct(d, correct)
     d = as_probabilities(d)
     best_correct = float(d.weights[correct].max(initial=0.0))

@@ -156,8 +156,6 @@ def c_min(g: CutGraph, limit: int = BRUTE_FORCE_LIMIT) -> float:
 def expected_cost(g: CutGraph, d: Distribution) -> float:
     """Probability-weighted average cut cost, Σ_x p(x)·C(x); counts are
     normalized first."""
-    if len(d) == 0:
-        raise UsageError("expected_cost of an empty distribution is undefined")
     d = as_probabilities(d)
     return float(_costs(g, d.codes, d.width) @ d.weights)
 
@@ -196,8 +194,6 @@ def quality_curve(g: CutGraph, d: Distribution, c_min_override: float | None = N
     """
     cmin = _resolved_c_min(g, c_min_override)
     d = as_probabilities(d)
-    if len(d) == 0:
-        raise UsageError("quality_curve of an empty distribution is undefined")
     ratios, slot = np.unique(_ratios(_costs(g, d.codes, d.width), cmin), return_inverse=True)
     # bincount and cumsum add in order, one term at a time: each ratio's
     # mass in ascending outcome order, then the ratios from the best down.

@@ -117,8 +117,6 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
     checked again: the normalized input, the output, the CHS and the
     weights are built directly, and the output shares ``d_in.codes``.
     """
-    if len(d_in) == 0:
-        raise UsageError("cannot reconstruct an empty distribution")
     d = as_probabilities(d_in)
     probs = d.weights
     n = len(d)

@@ -118,8 +118,6 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     for mask, _ in model.correlated_errors:
         if len(mask) != ideal.width:
             raise UsageError(f"mask width {len(mask)} does not match program width {ideal.width}")
-    if len(ideal) == 0:
-        raise UsageError("cannot sample from an empty distribution")
     ideal = as_probabilities(ideal)
     width = ideal.width
     cum = np.cumsum(ideal.weights)

@@ -385,6 +385,15 @@ class TestQaoaCommand:
         assert capsys.readouterr().err == (
             f"hamrec: error: {graph}: key 'n' appears more than once\n")
 
+    def test_width_checked_before_brute_force(self, tmp_path, graph_file, capsys, monkeypatch):
+        counts = tmp_path / "two_bits.json"
+        counts.write_text(json.dumps({"01": 3, "10": 1}))
+        monkeypatch.setattr("hamrec.cli.c_min", lambda g: pytest.fail("c_min ran"))
+        assert main(["qaoa", "--graph", str(graph_file), "--counts", str(counts)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "hamrec: error: width mismatch: distribution 2, graph 3\n"
+        assert captured.out == ""
+
     def test_uniform_cost_ratio_zero(self, graph_file, uniform_file, capsys):
         assert main(
             ["qaoa", "--graph", str(graph_file), "--counts", str(uniform_file)]

@@ -111,6 +111,23 @@ class TestDistribution:
         assert len(d) == 1
         assert d.entries == {"111": 5}
 
+    @pytest.mark.parametrize("entries, kind", [
+        ({}, "counts"),
+        ({}, "probabilities"),
+        ({"00": 0, "11": 0}, "counts"),
+        ({"00": 0.0}, "probabilities"),
+        (_Packed(np.zeros((0, 1), dtype=np.uint64), np.zeros(0, dtype=np.int64)), "counts"),
+        (_Packed(np.zeros((0, 1), dtype=np.uint64), np.zeros(0)), "probabilities"),
+    ], ids=["empty-counts", "empty-probabilities", "zero-counts", "zero-probabilities",
+            "empty-packed-counts", "empty-packed-probabilities"])
+    def test_holds_an_outcome(self, entries, kind):
+        with pytest.raises(UsageError, match="^no outcome has a positive weight$"):
+            Distribution(2, entries, kind=kind)
+
+    def test_entries_are_required(self):
+        with pytest.raises(TypeError):
+            Distribution(3)
+
     def test_canonical_order(self):
         d = Distribution(width=2, entries={"11": 1, "00": 2, "10": 3})
         assert d.outcomes() == ["00", "10", "11"]
@@ -494,7 +511,7 @@ class TestArrayValidator:
 class TestJsonWriter:
     @given(st.integers(1, 130), st.data())
     def test_text_matches_json_module(self, width, data):
-        n = data.draw(st.integers(0, 6))
+        n = data.draw(st.integers(1, 6))
         keys = data.draw(st.lists(st.text("01", min_size=width, max_size=width),
                                   min_size=n, max_size=n, unique=True))
         if data.draw(st.booleans()):
@@ -505,14 +522,10 @@ class TestJsonWriter:
         else:
             values = data.draw(st.lists(st.sampled_from([5e-324, 1e-300, 1e-17, 0.1, 0.25]),
                                         min_size=n, max_size=n))
-            if keys:
-                values[-1] = 1.0 - math.fsum(values[:-1])
-                assume(values[-1] >= 0)  # five draws of 0.25 or 0.1 can pass 1
+            values[-1] = 1.0 - math.fsum(values[:-1])
+            assume(values[-1] >= 0)  # five draws of 0.25 or 0.1 can pass 1
             d = Distribution(width, dict(zip(keys, values)), kind="probabilities")
         assert distribution_to_json(d) == json.dumps(d.entries, indent=2) + "\n"
-
-    def test_empty_distribution(self):
-        assert distribution_to_json(Distribution(3)) == "{}\n"
 
     @pytest.mark.parametrize("width", [64, 65, 130])
     def test_wide_round_trips(self, tmp_path, width):
