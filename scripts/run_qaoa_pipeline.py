@@ -43,11 +43,11 @@ def run(args: argparse.Namespace) -> None:
     print(f"{'quantity':<16}{'noisy':>12}{'reconstructed':>16}")
     print(f"{'<C>':<16}{expected_cost(graph, noisy):>12.4f}"
           f"{expected_cost(graph, recon):>16.4f}")
-    print(f"{'cost ratio':<16}{cost_ratio(graph, noisy):>12.4f}"
-          f"{cost_ratio(graph, recon):>16.4f}")
+    print(f"{'cost ratio':<16}{cost_ratio(graph, noisy, c_min_override=cmin):>12.4f}"
+          f"{cost_ratio(graph, recon, c_min_override=cmin):>16.4f}")
     print()
     print("cumulative quality curve (reconstructed):")
-    for ratio, mass in quality_curve(graph, recon).points[:8]:
+    for ratio, mass in quality_curve(graph, recon, c_min_override=cmin).points[:8]:
         print(f"  cr >= {ratio:+.4f}: {mass:.4f}")
 
 

@@ -161,20 +161,6 @@ def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray,
 _last_entries: tuple = (None, None)
 
 
-def _derived(cls, **fields):
-    """An instance of the frozen class ``cls`` holding ``fields``, unchecked.
-
-    The private constructor for values derived from an input that was
-    already checked: the caller guarantees that the fields would pass
-    ``cls``'s checks, so every public way in keeps them and nothing is
-    checked twice.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class Distribution:
     """Sparse outcome histogram: counts or probabilities over n-bit strings.
@@ -195,10 +181,12 @@ class Distribution:
     they are and normalizes counts.
 
     Validation happens here, at the boundary, and only here: every
-    distribution a caller builds, parses or loads is checked once.
+    distribution a caller builds, parses or loads is checked once. The
+    parsers add one check of their own, that the input is a map at all.
     Distributions the library derives from a checked one (:func:`normalize`,
-    :func:`hamrec.reconstruct.hammer`) are not checked again and share
-    their input's ``codes`` array, so they are never empty either.
+    :func:`hamrec.reconstruct.hammer`) are the one value built without a
+    check, by ``_with_probabilities``; they share their input's ``codes``
+    array, so they are never empty either.
 
     A distribution is immutable. It holds two read-only arrays: ``codes``,
     the outcomes packed as by :func:`pack_outcomes` in ascending order
@@ -221,27 +209,29 @@ class Distribution:
         if kind not in ("counts", "probabilities"):
             raise UsageError(f"kind must be counts or probabilities, got {kind!r}")
         width = int(width)
-        global _last_entries
-        _last_entries = (None, None)  # see ``entries``
         if isinstance(entries, Mapping):
             entries = _map_arrays(entries, width, kind)
         elif not isinstance(entries, _Packed):
             raise UsageError(f"entries must be a mapping, got {type(entries).__name__}")
-        codes, weights = _checked_arrays(entries, width, kind)
+        self._store(width, kind, *_checked_arrays(entries, width, kind))
+
+    def _store(self, width: int, kind: str, codes: np.ndarray, weights: np.ndarray) -> None:
+        """Set the four fields and drop the ``entries`` memo (see ``entries``)."""
+        global _last_entries
+        _last_entries = (None, None)
         for name, value in (("width", width), ("kind", kind), ("codes", codes), ("weights", weights)):
             object.__setattr__(self, name, value)
 
     def _with_probabilities(self, probs: np.ndarray) -> Distribution:
         """Probabilities ``probs`` derived from this distribution, on its
-        support and sharing its ``codes``, built without a second check.
-        ``probs`` becomes read-only, and the ``entries`` memo is dropped."""
-        global _last_entries
-        _last_entries = (None, None)  # see ``entries``
+        support and sharing its ``codes``: the one distribution built
+        without a check. ``probs`` becomes read-only."""
         probs.flags.writeable = False
         # type(self), not the module-level name, which the benchmark's
         # tracer replaces with a timing wrapper while it runs.
-        return _derived(type(self), width=self.width, kind="probabilities", codes=self.codes,
-                        weights=probs)
+        derived = object.__new__(type(self))
+        derived._store(self.width, "probabilities", self.codes, probs)
+        return derived
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -295,10 +285,14 @@ class Distribution:
 
 
 def _parsed(raw, kind: str) -> Distribution:
-    """A non-empty ``{bitstring: weight}`` map as a distribution, or ParseError."""
-    if not isinstance(raw, Mapping) or not raw:
-        raise ParseError("expected a non-empty map of bitstrings to weights")
-    first = next(iter(raw))
+    """A ``{bitstring: weight}`` map as a distribution, or ParseError.
+
+    The only check made here is that ``raw`` is a map; every other one,
+    emptiness included, is the constructor's, with its message.
+    """
+    if not isinstance(raw, Mapping):
+        raise ParseError("expected a map of bitstrings to weights")
+    first = next(iter(raw), None)
     # A first key that is not a bitstring still reaches the validator, which names it.
     width = (isinstance(first, str) and len(first)) or 1
     try:
@@ -311,8 +305,10 @@ def from_counts(raw: Mapping[str, int]) -> Distribution:
     """Parse a ``{bitstring: count}`` map into a counts distribution.
 
     Counts may be any integer type, numpy integers included. Zero-count keys
-    are dropped; anything :class:`Distribution` rejects, an empty or
-    all-zero map included, raises :class:`ParseError` with its message.
+    are dropped; anything :class:`Distribution` rejects raises
+    :class:`ParseError` with its message, so an empty map and an all-zero
+    one both read "no outcome has a positive weight". A value that is not
+    a map reads "expected a map of bitstrings to weights".
     """
     return _parsed(raw, "counts")
 
@@ -446,9 +442,11 @@ def distribution_from_json_obj(obj) -> Distribution:
 
     All-integer values are treated as counts; any other value switches the
     whole object to probabilities (which must sum to 1 within tolerance).
-    Anything :class:`Distribution` rejects (an empty or all-zero object,
-    NaN and infinities too, which Python's JSON parser accepts) raises
-    :class:`ParseError`.
+    Anything :class:`Distribution` rejects (NaN and infinities too, which
+    Python's JSON parser accepts) raises :class:`ParseError` with its
+    message: an empty object and an all-zero one both read "no outcome
+    has a positive weight". A value that is not an object, such as a
+    list, reads "expected a map of bitstrings to weights".
     """
     counts = isinstance(obj, dict) and all(
         issubclass(t, int) and t is not bool for t in set(map(type, obj.values()))

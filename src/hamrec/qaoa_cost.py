@@ -128,18 +128,18 @@ def cut_cost(g: CutGraph, x: str) -> float:
     return float(_costs(g, pack_outcomes([x], g.n_vertices), g.n_vertices)[0])
 
 
-def c_min(g: CutGraph, limit: int = BRUTE_FORCE_LIMIT) -> float:
+def c_min(g: CutGraph) -> float:
     """Exact minimum cut cost by exhaustive search.
 
     The complement of an assignment has the same cost, so only assignments
     with vertex 0 fixed to spin +1 are enumerated (half the space). Graphs
-    larger than ``limit`` vertices raise instead of grinding; pass a known
-    optimum to cost_ratio in that case.
+    larger than ``BRUTE_FORCE_LIMIT`` vertices raise instead of grinding;
+    pass a known optimum to cost_ratio in that case.
     """
     n = g.n_vertices
-    if n > limit:
+    if n > BRUTE_FORCE_LIMIT:
         raise CapabilityError(
-            f"brute-force c_min is limited to {limit} vertices (got {n}); "
+            f"brute-force c_min is limited to {BRUTE_FORCE_LIMIT} vertices (got {n}); "
             "supply the optimum explicitly via --cmin"
         )
     if not g.edges:

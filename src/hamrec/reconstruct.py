@@ -31,7 +31,6 @@ from .analysis import ChsVector, checked_bins, chs_length, pair_histograms
 from .core import (
     Distribution,
     UsageError,
-    _derived,
     as_probabilities,
     min_distances_to_set,
     reference_codes,
@@ -72,13 +71,13 @@ class ReconstructionReport:
 def weights_from_chs(chs: ChsVector) -> WeightVector:
     """Invert a strength vector with a zero guard: W[d] = 1/CHS[d] or 0.
 
-    A subnormal CHS[d] gives W[d] = inf. ``chs`` was checked when it was
-    built, so the weights, non-negative like it, are not checked again.
+    A subnormal CHS[d] gives W[d] = inf, which :class:`WeightVector`'s
+    check keeps, as it keeps every non-negative entry.
     """
     values = np.zeros_like(chs.values)
     with np.errstate(over="ignore"):
         np.divide(1.0, chs.values, out=values, where=chs.values > 0)
-    return _derived(WeightVector, width=chs.width, values=values)
+    return WeightVector(chs.width, values)
 
 
 def neighborhood_score(d: Distribution, x: str, weights: WeightVector) -> float:
@@ -113,16 +112,17 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
     score) is kept at the smallest subnormal, about 4.9e-324, so no
     outcome is dropped; every other entry is unchanged.
 
-    ``d_in`` was checked when it was built. Nothing derived from it is
-    checked again: the normalized input, the output, the CHS and the
-    weights are built directly, and the output shares ``d_in.codes``.
+    ``d_in`` was checked when it was built, so the normalized input and
+    the output distribution are built directly from it and share
+    ``d_in.codes``. The CHS and the weights go through their own checked
+    constructors, like any other vector.
     """
     d = as_probabilities(d_in)
     probs = d.weights
     n = len(d)
 
     pairs = pair_histograms(d.codes, probs, d.width)
-    chs = _derived(ChsVector, width=d.width, values=pairs.chs, pair_evaluations=n * n)
+    chs = ChsVector(d.width, pairs.chs, pair_evaluations=n * n)
     weights = weights_from_chs(chs)
 
     # Each score term W[d] * lighter[i, d] as lighter[i, d] / CHS[d], which

@@ -241,9 +241,17 @@ class TestNormalize:
         assert normalize(p) is p
         assert as_probabilities(p) is p
 
-    def test_empty_rejected(self):
-        with pytest.raises(ParseError):
-            from_counts({"00": 0})  # all-zero collapses to empty
+    @pytest.mark.parametrize("parse, raw, message", [
+        (from_counts, {"00": 0}, "no outcome has a positive weight"),
+        (from_counts, {}, "no outcome has a positive weight"),
+        (distribution_from_json_obj, {"00": 0}, "no outcome has a positive weight"),
+        (distribution_from_json_obj, {}, "no outcome has a positive weight"),
+        (distribution_from_json_obj, [], "expected a map of bitstrings to weights"),
+    ], ids=["counts-all-zero", "counts-empty", "json-all-zero", "json-empty", "json-list"])
+    def test_empty_rejected(self, parse, raw, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse(raw)  # all-zero collapses to empty: one rule, one message
+        assert str(excinfo.value) == message
 
 
 class TestPackedKernels:

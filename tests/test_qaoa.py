@@ -120,12 +120,13 @@ class TestCmin:
     def test_edgeless_graph(self):
         assert c_min(CutGraph(3, ())) == 0.0
 
-    def test_limit_raises_capability_error(self):
+    def test_limit_raises_capability_error(self, monkeypatch):
         big = CutGraph(27, ((0, 1, 1.0),))
         with pytest.raises(CapabilityError, match="--cmin"):
             c_min(big)
-        with pytest.raises(CapabilityError):
-            c_min(TRIANGLE, limit=2)
+        monkeypatch.setattr("hamrec.qaoa_cost.BRUTE_FORCE_LIMIT", 2)
+        with pytest.raises(CapabilityError, match="limited to 2 vertices"):
+            c_min(TRIANGLE)
 
     @given(st.integers(min_value=0, max_value=2000))
     def test_matches_exhaustive_oracle(self, seed):

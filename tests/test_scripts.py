@@ -1,11 +1,16 @@
-"""The experiment scripts report bad arguments as argparse errors."""
+"""The experiment scripts report bad arguments as argparse errors, and the
+QAOA script runs the brute-force C_min search once."""
 
+import argparse
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+import hamrec.qaoa_cost
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -26,3 +31,22 @@ def test_usage_errors_exit_2_without_a_traceback(script, args, message):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+def test_qaoa_script_brute_forces_c_min_once(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "run_qaoa_pipeline", ROOT / "scripts" / "run_qaoa_pipeline.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+    real = hamrec.qaoa_cost.c_min
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(script, "c_min", counted)
+    monkeypatch.setattr(hamrec.qaoa_cost, "c_min", counted)
+    script.run(argparse.Namespace(vertices=8, flip=0.06, trials=1024, seed=7))
+    assert "cost ratio" in capsys.readouterr().out
+    assert len(calls) == 1
