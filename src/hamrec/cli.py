@@ -47,10 +47,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _ensure_writable(*paths: str | None) -> None:
     """Each output path of one command (None: no such output) is non-empty,
-    writable and a different file; stdout ("-") counts as one file."""
+    writable and a different file; stdout ("-") counts as one file and
+    must be open."""
     paths = [p for p in paths if p is not None]
     if "" in paths:
         raise UsageError("output path must not be empty")
+    if "-" in paths and sys.stdout is None:
+        raise UsageError("stdout is closed")
     targets = [p if p == "-" else os.path.realpath(p) for p in paths]
     if len(set(targets)) < len(targets):
         raise UsageError(f"output paths name the same file: {', '.join(paths)}")

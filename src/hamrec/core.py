@@ -469,13 +469,18 @@ def _unique_keys(pairs: list) -> dict:
 def read_json(path, parse):
     """``parse`` of the JSON file at ``path``, ``"-"`` meaning standard input.
 
-    Invalid JSON, an object that repeats a key, and the errors of ``parse``
-    raise :class:`ParseError` prefixed with the path, or with ``stdin``.
+    A file and stdin alike are decoded as strict UTF-8. Invalid JSON, an
+    object that repeats a key, and the errors of ``parse`` raise
+    :class:`ParseError` prefixed with the path, or with ``stdin``; a closed
+    stdin is a :class:`UsageError`.
     """
     name = "stdin" if path == "-" else path
+    if path == "-" and sys.stdin is None:
+        raise UsageError("stdin is closed")
     try:
-        if path == "-":
-            obj = json.load(sys.stdin, object_pairs_hook=_unique_keys)
+        if path == "-":  # the bytes beneath, whatever the locale's decoding
+            text = sys.stdin.buffer.read().decode("utf-8")
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         else:
             with open(path, encoding="utf-8") as fh:
                 obj = json.load(fh, object_pairs_hook=_unique_keys)

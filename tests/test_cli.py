@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -32,38 +33,155 @@ def read_json(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.fixture
+def run_cli(tmp_path, monkeypatch, capsys):
+    """``run(argv, stdin=None, entry="main")``: (exit code, stdout, stderr) of
+    ``cli.main`` or ``python -m hamrec`` in ``tmp_path``, which it leaves as it
+    was. ``stdin`` is the bytes on standard input; None leaves main's as they are."""
+    monkeypatch.chdir(tmp_path)
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(hamrec.__file__).parents[1])}
+
+    def run(argv, stdin=None, entry="main"):
+        before = _files(tmp_path)
+        if entry == "main":
+            if stdin is not None:
+                # A text layer that decodes any byte: stdin must be read as bytes.
+                monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(stdin), "latin-1"))
+            code = main(argv)
+            out, err = capsys.readouterr()
+        else:
+            proc = subprocess.run([sys.executable, "-m", "hamrec", *argv], input=stdin or b"",
+                                  capture_output=True, env=env, check=False)
+            code, out, err = proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+        assert _files(tmp_path) == before
+        return code, out, err
+
+    return run
+
+
+def _through_main_and_python_m(rows):
+    """Each ``(id, *values)`` row through ``cli.main``, then through ``python -m hamrec``."""
+    return ([pytest.param(*values, "main", id=id_) for id_, *values in rows]
+            + [pytest.param(*values, "python -m", id=f"{id_}-python-m") for id_, *values in rows])
+
+
+# Usage errors: (id, command line, the message after "hamrec: error: ",
+# whether argparse's usage follows it).
+USAGE_ROWS = _through_main_and_python_m([
+    ("no-subcommand", "", "a subcommand is required", True),
+    ("unknown-subcommand", "bogus", "argument COMMAND: invalid choice: 'bogus' (choose from "
+     "'reconstruct', 'spectrum', 'ehd', 'metrics', 'qaoa', 'synth')", True),
+    ("bad-int", "synth --seed x", "argument --seed: invalid int value: 'x'", True),
+    ("option-like-value", "qaoa --graph g --counts c --cmin -inf",
+     "argument --cmin: expected one argument", True),
+    ("unknown-flag", "synth --key 01 --bogus", "unrecognized arguments: --bogus", True),
+    ("missing-required-flag", "reconstruct", "the following arguments are required: --input",
+     True),
+    ("empty-report", "reconstruct --input - --report ''", "output path must not be empty", False),
+    ("empty-output", "synth --key 01 --output ''", "output path must not be empty", False),
+    ("report-beside-stdout", "reconstruct --input - --report -",
+     "output paths name the same file: -, -", False),
+    ("output-is-a-directory", "synth --key 01 --output .", "output path not writable: .", False),
+    ("bad-corr-format", "synth --key 10 --corr nope",
+     "correlated error must be MASK:PROB, got 'nope'", False),
+    ("bad-corr-probability", "synth --key 10 --corr 10:x", "bad probability in '10:x'", False),
+    ("corr-width-mismatch", "synth --key 10 --corr 111:0.5",
+     "mask width 3 does not match program width 2", False),
+    ("bad-flip", "synth --key 10 --flip 1.5",
+     "per_bit_flip must be a number in [0, 1), got 1.5", False),
+    ("metrics-without-input", "metrics --correct 1",
+     "metrics needs --input, or --before and --after", False),
+    ("metrics-input-and-before", "metrics --input a.json --before b.json --after b.json "
+     "--correct 1", "use either --input or both --before and --after", False),
+])
+
+# Bad distributions: (id, the bytes of the input, the message after
+# "hamrec: error: <path or stdin>: "). Every reader exits 2 on each.
+BAD_INPUTS = [
+    ("empty-map", b"{}", "no outcome has a positive weight"),
+    ("list", b"[]", "expected a map of bitstrings to weights"),
+    ("number", b"5", "expected a map of bitstrings to weights"),
+    ("null", b"null", "expected a map of bitstrings to weights"),
+    ("string", b'"x"', "expected a map of bitstrings to weights"),
+    ("zero-counts", b'{"01": 0, "10": 0}', "no outcome has a positive weight"),
+    ("zero-probabilities", b'{"01": 0.0}', "no outcome has a positive weight"),
+    ("bad-key", b'{"01": 1, "0b": 1}', "outcome '0b' contains non-binary characters"),
+    ("negative-weight", b'{"01": 1, "10": -1}', "negative weight -1 for outcome '10'"),
+    ("nan-weight", b'{"01": 1, "10": NaN}', "non-finite weight nan for outcome '10'"),
+    ("sum-1.5", b'{"01": 0.5, "10": 1.0}', "probabilities sum to 1.5, expected 1 +- 1e-09"),
+    ("ragged-width", b'{"01": 1, "011": 2}', "outcome '011' has width 3, expected 2"),
+    ("repeated-key", b'{"01": 1, "01": 5, "10": 2}', "key '01' appears more than once"),
+    ("empty-key", b'{"01": 1, "": 1}', "outcome must be a non-empty bitstring, got ''"),
+    ("bool-weight", b'{"01": true}', "weight for outcome '01' is not a number: True"),
+    ("string-weight", b'{"01": "1"}', "weight for outcome '01' is not a number: '1'"),
+    ("not-json", b"not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("non-utf8", b'{"01": 1, "\xff": 2}',
+     "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+]
+
+# Every option that reads a distribution from a file, the bad one at in.json;
+# good.json and graph.json hold the valid inputs beside it. The ninth reader,
+# "reconstruct --input -", gets the same bytes on stdin.
+FILE_READERS = [
+    ("reconstruct", "reconstruct --input in.json --output out.json --report report.json"),
+    ("ehd", "ehd --input in.json --correct 01"),
+    ("spectrum", "spectrum --input in.json --correct 01"),
+    ("metrics-input", "metrics --input in.json --correct 01"),
+    ("metrics-reference", "metrics --input good.json --reference in.json --correct 01"),
+    ("metrics-before", "metrics --before in.json --after good.json --correct 01"),
+    ("metrics-after", "metrics --before good.json --after in.json --correct 01"),
+    ("qaoa", "qaoa --graph graph.json --counts in.json"),
+]
+
+BAD_INPUT_ROWS = [
+    pytest.param(command, data, 2, f"in.json: {message}", "main", id=f"{name}-{reader}")
+    for reader, command in FILE_READERS
+    for name, data, message in BAD_INPUTS
+] + [
+    pytest.param(command, None, 1, "[Errno 2] No such file or directory: 'in.json'", "main",
+                 id=f"missing-file-{reader}")
+    for reader, command in FILE_READERS
+] + _through_main_and_python_m([
+    (f"{name}-reconstruct-stdin", "reconstruct --input -", data, 2, f"stdin: {message}")
+    for name, data, message in BAD_INPUTS
+])
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "hamrec" in capsys.readouterr().out
 
-    def test_no_subcommand(self, capsys):
-        assert main([]) == 1
-        assert "subcommand" in capsys.readouterr().err
-
-    def test_unknown_subcommand(self, capsys):
-        assert main(["frobnicate"]) == 1
-
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["reconstruct", "--help"]) == 0
 
-    @pytest.mark.parametrize("argv", [
-        [],
-        ["bogus"],
-        ["synth", "--seed", "x"],
-        ["qaoa", "--graph", "g", "--counts", "c", "--cmin", "-inf"],
-        ["synth", "--key", "01", "--bogus"],
-    ], ids=["no-subcommand", "unknown-subcommand", "bad-int", "option-like-value",
-            "unknown-flag"])
-    def test_argparse_errors_start_with_prefix(self, argv, capsys):
-        # argparse's own failures follow the contract of every other one:
-        # exit 1, nothing on stdout, the message first and the usage after.
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("hamrec: error: ")
-        assert "usage:" in captured.err
+    @pytest.mark.parametrize("command,message,usage,entry", USAGE_ROWS)
+    def test_argparse_errors_start_with_prefix(self, run_cli, command, message, usage, entry):
+        # argparse's own failures follow the contract of every other usage
+        # error: exit 1, nothing on stdout, one exact line; argparse adds
+        # the usage after it.
+        code, out, err = run_cli(shlex.split(command), entry=entry)
+        first, *rest = err.splitlines()
+        assert (code, out, first) == (1, "", f"hamrec: error: {message}")
+        assert rest[0].startswith("usage: hamrec ") if usage else rest == []
+
+    @pytest.mark.parametrize("target,value,command,message", [
+        ("sys.stdin", None, "reconstruct --input -", "stdin is closed"),
+        ("sys.stdout", None, "synth --key 01", "stdout is closed"),
+        # A process run as root writes past the mode bits: only a patch makes "." unwritable.
+        ("hamrec.cli.os.access", lambda path, mode: False, "synth --key 01 --output new.json",
+         "output directory not writable: ."),
+    ], ids=["closed-stdin", "closed-stdout", "unwritable-directory"])
+    def test_usage_errors_from_the_environment(self, run_cli, monkeypatch, target, value,
+                                               command, message):
+        with monkeypatch.context() as patch:  # undone before capsys restores sys.stdout
+            patch.setattr(target, value)
+            assert run_cli(command.split()) == (1, "", f"hamrec: error: {message}\n")
 
     def test_console_script_installed(self):
         proc = subprocess.run(
@@ -73,6 +191,17 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "hamrec" in proc.stdout
+
+
+class TestBadDistributions:
+    @pytest.mark.parametrize("command,data,code,message,entry", BAD_INPUT_ROWS)
+    def test_one_exact_error_and_no_output(self, run_cli, tmp_path, command, data, code,
+                                           message, entry):
+        (tmp_path / "good.json").write_text('{"01": 3, "10": 1}')
+        (tmp_path / "graph.json").write_text('{"n": 2, "edges": [[0, 1]]}')
+        if data is not None:  # on stdin as well, for "--input -"
+            (tmp_path / "in.json").write_bytes(data)
+        assert run_cli(command.split(), data, entry) == (code, "", f"hamrec: error: {message}\n")
 
 
 class TestReconstructCommand:
@@ -122,42 +251,10 @@ class TestReconstructCommand:
         assert abs(sum(payload.values()) - 1.0) <= 1e-9
 
     def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(COUNTS)))
+        stdin = io.TextIOWrapper(io.BytesIO(json.dumps(COUNTS).encode()), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
         assert main(["reconstruct", "--input", "-"]) == 0
         assert set(read_json(capsys)) == set(COUNTS)
-
-    def test_missing_input_file(self, tmp_path, capsys):
-        assert main(["reconstruct", "--input", str(tmp_path / "nope.json")]) == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_malformed_json_is_data_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json")
-        assert main(["reconstruct", "--input", str(bad)]) == 2
-
-    def test_inconsistent_widths_is_data_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"01": 1, "011": 2}))
-        assert main(["reconstruct", "--input", str(bad)]) == 2
-
-    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(b'{"01": 1, "\xff": 2}')
-        assert main(["reconstruct", "--input", str(bad)]) == 2
-        assert "bad.json: invalid JSON" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("text", ["not json", '{"01": 1, "011": 2}'])
-    def test_stdin_errors_name_stdin(self, capsys, monkeypatch, text):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
-        assert main(["reconstruct", "--input", "-"]) == 2
-        assert capsys.readouterr().err.startswith("hamrec: error: stdin: ")
-
-    def test_repeated_key_on_stdin_is_data_error(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO('{"01": 1, "01": 5, "10": 2}'))
-        assert main(["reconstruct", "--input", "-"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "hamrec: error: stdin: key '01' appears more than once\n"
 
     @pytest.mark.parametrize("via_symlink", [False, True])
     def test_output_and_report_on_one_file_rejected(self, tmp_path, counts_file, capsys,
@@ -188,16 +285,6 @@ class TestReconstructCommand:
         assert captured.out == ""
         assert captured.err == "hamrec: error: output paths name the same file: -, -\n"
 
-    def test_missing_required_flag(self, capsys):
-        assert main(["reconstruct"]) == 1
-
-    def test_no_partial_output_on_bad_input(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json")
-        out = tmp_path / "dist.json"
-        assert main(["reconstruct", "--input", str(bad), "--output", str(out)]) == 2
-        assert not out.exists()
-
     def test_unwritable_report_blocks_output_write(self, tmp_path, counts_file, capsys):
         out = tmp_path / "dist.json"
         report = tmp_path / "missing-dir" / "report.json"
@@ -207,20 +294,6 @@ class TestReconstructCommand:
         )
         assert code == 1
         assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [
-        ["reconstruct", "--input", "counts.json", "--report", ""],
-        ["synth", "--key", "01", "--output", ""],
-    ], ids=["empty-report", "empty-output"])
-    def test_empty_output_path_rejected_before_any_work(self, tmp_path, counts_file, capsys,
-                                                        monkeypatch, argv):
-        monkeypatch.chdir(tmp_path)
-        before = sorted(p.name for p in tmp_path.iterdir())
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "hamrec: error: output path must not be empty\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_second_write_leaves_no_output(self, tmp_path, counts_file, capsys,
@@ -320,25 +393,18 @@ class TestMetricsCommand:
     def test_before_after_ratios(self, tmp_path, counts_file, capsys):
         after = tmp_path / "after.json"
         after.write_text(json.dumps({"1010101010": 0.9, "1010100010": 0.1}))
+        ref = tmp_path / "ideal.json"
+        ref.write_text(json.dumps({"1010101010": 1.0}))
         assert main(
             ["metrics", "--before", str(counts_file), "--after", str(after),
-             "--correct", "1010101010"]
+             "--correct", "1010101010", "--reference", str(ref)]
         ) == 0
         payload = read_json(capsys)
         assert payload["pst_ratio"] == pytest.approx(0.9 / 0.8)
         assert payload["ist_ratio"] == pytest.approx(9 / (800 / 150))
-        assert "before" in payload and "after" in payload
-
-    def test_input_and_before_conflict(self, counts_file, tmp_path):
-        other = tmp_path / "o.json"
-        other.write_text(json.dumps({"1010101010": 1.0}))
-        assert main(
-            ["metrics", "--input", str(counts_file), "--before", str(other),
-             "--after", str(other), "--correct", "1"]
-        ) == 1
-
-    def test_needs_some_input(self):
-        assert main(["metrics", "--correct", "1"]) == 1
+        assert payload["before"]["tvd"] == pytest.approx(0.2)
+        assert payload["after"]["tvd"] == pytest.approx(0.1)
+        assert payload["tvd_ratio"] == payload["before"]["tvd"] / payload["after"]["tvd"]
 
     def test_overflowing_ratios_are_null(self, tmp_path, capsys):
         before = tmp_path / "before.json"
@@ -443,15 +509,6 @@ class TestSynthCommand:
         first = read_json(capsys)
         assert main(args) == 0
         assert read_json(capsys) == first
-
-    def test_bad_corr_format(self, capsys):
-        assert main(["synth", "--key", "10", "--corr", "nope"]) == 1
-
-    def test_corr_width_mismatch(self, capsys):
-        assert main(["synth", "--key", "10", "--corr", "111:0.5"]) == 1
-
-    def test_bad_flip(self, capsys):
-        assert main(["synth", "--key", "10", "--flip", "1.5"]) == 1
 
 
 class TestPipelineEquivalence:

@@ -145,9 +145,12 @@ class TestDistribution:
             Distribution(width=2, entries={"00": 1}, kind="weights")
 
     def test_probability_sum_enforced(self):
-        with pytest.raises(UsageError):
-            Distribution(width=2, entries={"00": 0.5, "11": 0.2}, kind="probabilities")
-        Distribution(width=2, entries={"00": 0.5, "11": 0.5}, kind="probabilities")
+        # The tolerance is PROB_SUM_TOL = 1e-9: 5e-9 off 1 fails, 5e-10 passes.
+        for off_by in (-0.3, 5e-9):
+            with pytest.raises(UsageError, match="probabilities sum to"):
+                Distribution(2, {"00": 0.5, "11": 0.5 + off_by}, kind="probabilities")
+        for off_by in (0.0, 5e-10):
+            Distribution(2, {"00": 0.5, "11": 0.5 + off_by}, kind="probabilities")
 
     def test_counts_total_is_exact_int(self):
         d = Distribution(width=2, entries={"00": 3, "11": 4})

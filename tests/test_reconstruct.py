@@ -69,11 +69,20 @@ class TestNeighborhoodScore:
         with pytest.raises(UsageError):
             neighborhood_score(FOUR_OUTCOME, "010", weights)
 
-    @given(st.integers(min_value=0, max_value=3000))
-    def test_matches_oracle(self, seed):
+    def test_weights_must_match_the_width(self):
+        # Widths 3 and 4 both have 2 in-range distances, so only the width tells.
+        weights = weights_from_chs(global_chs(Distribution(4, {"0000": 1, "0001": 1})))
+        assert len(weights.values) == len(weights_from_chs(global_chs(FOUR_OUTCOME)).values)
+        with pytest.raises(UsageError, match="width"):
+            neighborhood_score(FOUR_OUTCOME, "111", weights)
+
+    @given(st.integers(min_value=0, max_value=3000), st.booleans())
+    def test_matches_oracle(self, seed, ties):
         rng = random.Random(seed)
         width = rng.randint(1, 10)
         d = random_distribution(rng, width, rng.randint(1, 20))
+        if ties:  # counts of 1 to 3: most outcomes share their probability with others
+            d = normalize(Distribution(width, {x: rng.randint(1, 3) for x in d.entries}))
         weights = weights_from_chs(global_chs(d))
         x = rng.choice(list(d.entries))
         assert neighborhood_score(d, x, weights) == pytest.approx(
