@@ -156,6 +156,13 @@ class TestTopLevel:
         assert main(["--version"]) == 0
         assert "hamrec" in capsys.readouterr().out
 
+    def test_no_subcommand(self, capsys):
+        assert main([]) == 1
+        assert "subcommand" in capsys.readouterr().err
+
+    def test_unknown_subcommand(self, capsys):
+        assert main(["frobnicate"]) == 1
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main(["reconstruct", "--help"]) == 0
@@ -284,6 +291,21 @@ class TestReconstructCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "hamrec: error: output paths name the same file: -, -\n"
+
+    def test_malformed_json_is_data_error(self, tmp_path, capsys):
+        # The message names the input as it was given, here an absolute path.
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        assert main(["reconstruct", "--input", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"hamrec: error: {bad}: invalid JSON: Expecting value: line 1 column 1 (char 0)\n")
+
+    def test_no_partial_output_on_bad_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        out = tmp_path / "dist.json"
+        assert main(["reconstruct", "--input", str(bad), "--output", str(out)]) == 2
+        assert not out.exists()
 
     def test_unwritable_report_blocks_output_write(self, tmp_path, counts_file, capsys):
         out = tmp_path / "dist.json"
