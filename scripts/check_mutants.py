@@ -1,0 +1,157 @@
+#!/usr/bin/env python3
+"""Check that the test suite still kills every catalogued mutant.
+
+Each entry of ``MUTANTS`` names a file, an exact text in it, the text
+that replaces it, the test files that must fail with the mutant in place,
+and what the mutant breaks. For each entry the script copies ``src/``,
+``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
+mutant there and runs ``pytest -x`` on the named files. It exits non-zero
+when a mutant survives, when its tests end in anything but a test failure
+(a collection error is not a kill), or when an old text does not occur
+exactly once in its file, so a refactor that moves the code has to update
+the entry. It reads the tree it lives in and writes only to temporary
+directories.
+
+    python scripts/check_mutants.py           # every entry
+    python scripts/check_mutants.py M1 M8     # the named ones
+
+A test that fails on the unmutated tree would kill every mutant, so run
+the suite first (CI runs Tier-1 before this script).
+
+To add an entry, apply the change to a scratch copy, find a test file that
+fails with it and passes without it, and prefer a mutant that a
+deterministic test or a hypothesis ``@example`` kills, so the kill does
+not depend on what hypothesis draws.
+
+Two mutants are equivalent, or nearly so, and are left out:
+
+* ``chs[0] = p.sum()`` -> ``chs[0] = 1.0`` in ``analysis.pair_histograms``:
+  the probabilities sum to 1 to within a few ulps, so only the last bits
+  of the CHS change.
+* dropping column 0 of the score terms in ``reconstruct.hammer``:
+  ``lighter[:, 0]`` is always 0, because the only outcome at distance 0
+  from an outcome is the outcome itself, which is not lighter than itself.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PAIR_TESTS = ("tests/test_pair_kernel.py",)
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple
+    breaks: str
+
+
+MUTANTS = [
+    # The pair pass (src/hamrec/analysis.py).
+    Mutant("M1", "src/hamrec/analysis.py",
+           "near[r] += 2 * np.bincount(row[g:i]", "near[r] += np.bincount(row[g:i]",
+           PAIR_TESTS, "the column path counts a tie pair once in the CHS, not twice"),
+    Mutant("M2", "src/hamrec/analysis.py", "    counts[own] = 0\n", "",
+           PAIR_TESTS, "the tie-group path counts a row's own tie group as lighter"),
+    Mutant("M3", "src/hamrec/analysis.py",
+           "(group[:stop] * (width + 1))", "(group[:stop] * n_bins)",
+           PAIR_TESTS, "the tie-group keys of neighbouring groups overlap"),
+    Mutant("M4", "src/hamrec/analysis.py",
+           "np.arange(n) < gstart[:, None]", "np.arange(n) <= gstart[:, None]",
+           PAIR_TESTS, "the square path counts the first outcome of a row's tie group as lighter"),
+    Mutant("M5", "src/hamrec/analysis.py",
+           "near = counts.sum(axis=1) + counts[own]", "near = counts.sum(axis=1)",
+           PAIR_TESTS, "the tie-group path counts a tie pair once in the CHS, not twice"),
+    Mutant("M6", "src/hamrec/analysis.py",
+           "np.bincount(row[:g], weights=p[:g]", "np.bincount(row[:i], weights=p[:i]",
+           PAIR_TESTS, "the column path counts a row's ties as lighter"),
+    Mutant("M7", "src/hamrec/analysis.py",
+           "    return PairHistograms(chs=chs, lighter=lighter, pairs_computed=pairs)",
+           "    chs[1] *= 1.001\n"
+           "    return PairHistograms(chs=chs, lighter=lighter, pairs_computed=pairs)",
+           PAIR_TESTS, "the row blocks' CHS drifts at distance 1"),
+    # Elsewhere.
+    Mutant("M8", "src/hamrec/reconstruct.py",
+           "np.maximum(raw / raw.sum(), math.ulp(0.0))", "raw / raw.sum()",
+           ("tests/test_reconstruct.py",), "hammer drops an outcome whose output underflows to 0"),
+    Mutant("M9", "src/hamrec/analysis.py",
+           "if not (values >= 0).all():", "if (values < 0).any():",
+           ("tests/test_analysis.py",), "a CHS or weight vector accepts NaN"),
+    Mutant("M10", "src/hamrec/reconstruct.py", "(probs < px)", "(probs <= px)",
+           ("tests/test_reconstruct.py",),
+           "neighborhood_score lets tied neighbours feed each other"),
+    Mutant("M11", "src/hamrec/core.py",
+           "abs(total - 1.0) > PROB_SUM_TOL", "abs(total - 1.0) > 10 * PROB_SUM_TOL",
+           ("tests/test_core.py",), "probabilities 5e-9 off a sum of 1 are accepted"),
+    Mutant("M12", "src/hamrec/core.py", "        probs.flags.writeable = False\n", "",
+           ("tests/test_reconstruct.py",), "a derived distribution's weights stay writable"),
+]
+
+
+def apply(tree: pathlib.Path, m: Mutant) -> str | None:
+    """Apply ``m`` inside ``tree``; the reason it cannot be applied, or None."""
+    path = tree / m.file
+    text = path.read_text()
+    found = text.count(m.old)
+    if found != 1:
+        return f"old text occurs {found} times in {m.file}, not once"
+    path.write_text(text.replace(m.old, m.new))
+    return None
+
+
+def check(m: Mutant) -> tuple[bool, str]:
+    """(killed, one line on how the run went)."""
+    with tempfile.TemporaryDirectory(prefix=f"mutant-{m.name}-") as tmp:
+        tree = pathlib.Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy2(ROOT / "pyproject.toml", tree)
+        problem = apply(tree, m)
+        if problem:
+            return False, problem
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               "--hypothesis-profile=mutants", *m.tests],
+                              cwd=tree, env=env, capture_output=True, text=True)
+        seconds = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    summary = lines[-1] if lines else proc.stderr.strip()[-200:]
+    if proc.returncode == 1:
+        return True, f"killed in {seconds:.1f} s: {summary}"
+    if proc.returncode == 0:
+        return False, f"SURVIVED: {summary}"
+    return False, f"tests did not run (pytest exit {proc.returncode}): {summary}"
+
+
+def main(argv: list[str]) -> int:
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {' '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    failed = []
+    for m in MUTANTS:
+        if argv and m.name not in argv:
+            continue
+        killed, how = check(m)
+        print(f"{m.name} {m.file} ({m.breaks}): {how}", flush=True)
+        if not killed:
+            failed.append(m.name)
+    if failed:
+        print(f"not killed: {' '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

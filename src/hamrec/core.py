@@ -157,7 +157,7 @@ def _checked_arrays(packed: _Packed, width: int, kind: str) -> tuple[np.ndarray,
 
 
 # The last ``entries`` dict built and the distribution it was built for,
-# kept until the next distribution is built.
+# kept until the next build of a distribution starts.
 _last_entries: tuple = (None, None)
 
 
@@ -193,7 +193,7 @@ class Distribution:
     (ascending bitstring order), and ``weights``, int64 counts or float64
     probabilities. ``outcomes()`` makes bitstrings from them on each call,
     and ``entries`` keeps the one dict it last made until the next
-    distribution is built (see ``entries``). Distributions are equal when
+    build starts (see ``entries``). Distributions are equal when
     their width, kind, codes and weights are.
     """
 
@@ -204,6 +204,8 @@ class Distribution:
     __hash__ = None
 
     def __init__(self, width: int, entries: Mapping | _Packed, kind: str = "counts"):
+        global _last_entries
+        _last_entries = (None, None)  # before the checks build the new arrays
         if not (_is_integer(width) and width >= 1):
             raise UsageError(f"width must be an integer >= 1, got {width!r}")
         if kind not in ("counts", "probabilities"):
@@ -216,9 +218,7 @@ class Distribution:
         self._store(width, kind, *_checked_arrays(entries, width, kind))
 
     def _store(self, width: int, kind: str, codes: np.ndarray, weights: np.ndarray) -> None:
-        """Set the four fields and drop the ``entries`` memo (see ``entries``)."""
-        global _last_entries
-        _last_entries = (None, None)
+        """Set the four fields."""
         for name, value in (("width", width), ("kind", kind), ("codes", codes), ("weights", weights)):
             object.__setattr__(self, name, value)
 
@@ -226,6 +226,8 @@ class Distribution:
         """Probabilities ``probs`` derived from this distribution, on its
         support and sharing its ``codes``: the one distribution built
         without a check. ``probs`` becomes read-only."""
+        global _last_entries
+        _last_entries = (None, None)
         probs.flags.writeable = False
         # type(self), not the module-level name, which the benchmark's
         # tracer replaces with a timing wrapper while it runs.
@@ -265,7 +267,9 @@ class Distribution:
         ``entries`` again returns that same dict, so a read-modify-read
         sees its own change, as when the dict was stored. The benchmark's
         self-check corrupts an output that way. Only that one dict is
-        kept, and building a distribution drops it.
+        kept. A build drops it before its checks, so it is dropped even
+        when the build fails, and it is never alive beside the new
+        input's arrays.
         """
         global _last_entries
         owner, entries = _last_entries

@@ -1,6 +1,6 @@
 import random
 
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from hamrec import Distribution
 
@@ -8,6 +8,14 @@ settings.register_profile(
     "default",
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
+)
+# For scripts/check_mutants.py: a failure only has to be found, so it is
+# not shrunk, and nothing is read from or saved to the example database.
+settings.register_profile(
+    "mutants",
+    parent=settings.get_profile("default"),
+    phases=[Phase.explicit, Phase.generate],
+    database=None,
 )
 settings.load_profile("default")
 

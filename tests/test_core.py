@@ -157,6 +157,15 @@ class TestDistribution:
         assert d.total() == 7
         assert isinstance(d.total(), int)
 
+    def test_a_failed_build_drops_the_entries_memo(self):
+        d = Distribution(2, {"00": 1, "11": 3})
+        first = d.entries
+        assert d.entries is first
+        with pytest.raises(UsageError):
+            Distribution(2, {"00": -1})
+        assert d.entries is not first
+        assert d.entries == first
+
     def test_probability_lookup_defaults_to_zero(self):
         d = Distribution(width=2, entries={"00": 1.0}, kind="probabilities")
         assert d.probability("00") == 1.0
@@ -193,8 +202,11 @@ MALFORMED = {
     "ragged widths": {"01": 1, "011": 1},
     "non-binary key": {"01": 1, "0b": 1},
     "bool weight": {"01": True},
+    "numpy bool weight": {"01": np.True_},
     "str weight": {"01": "x"},
     "nan weight": {"01": float("nan")},
+    "+inf weight": {"01": float("inf")},
+    "-inf weight": {"01": float("-inf")},
     "negative weight": {"01": -1},
     "non-integer count": {"00": 1.5, "01": 2},
     "list of pairs": [("01", 1)],
@@ -215,7 +227,7 @@ class TestOneValidator:
     def test_counts_agree_and_stay_int(self):
         raw = {"10": 3, "01": 1, "11": 0}
         direct = Distribution(2, raw)
-        numpy_counts = {k: np.int64(v) for k, v in raw.items()}
+        numpy_counts = {"10": np.int64(3), "01": np.uint8(1), "11": np.uint8(0)}
         for parsed in (from_counts(raw), from_counts(numpy_counts),
                        distribution_from_json_obj(raw)):
             assert parsed == direct
