@@ -9,8 +9,11 @@ their inputs from one builder, :func:`make_support`, which one strategy,
 path. Two properties cover what the pass
 computes: it matches the brute-force oracles, and it commutes with XOR
 masks and bit permutations, which keep every Hamming distance but reorder
-the codes, the ties and every sum. The deterministic tests pin the
-boundaries between the paths.
+the codes, the ties and every sum. Each property runs over the whole
+generator and again over the slices of it that hold the hard cases:
+small budgets, the lane widths, tie groups with a heavy tail, and pinned
+budgets for the equivariance. The deterministic tests pin the boundaries
+between the paths.
 """
 
 import contextlib
@@ -25,16 +28,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hamrec.analysis
-from hamrec import Distribution, from_counts, global_chs, hammer, normalize
+from hamrec import (
+    Distribution,
+    ParseError,
+    UsageError,
+    from_counts,
+    global_chs,
+    hammer,
+    normalize,
+)
 from hamrec.cli import main
 from hamrec.analysis import pair_histograms
-from hamrec.core import pack_outcomes
+from hamrec.core import distribution_from_json_obj, pack_outcomes
 from oracles import global_chs_oracle, hammer_oracle
 
 TOL = 1e-12
 DEFAULT_BUDGET = hamrec.analysis.PAIR_BLOCK_ELEMENTS
 COUNTERS = ("pair_evaluations_step1", "pair_evaluations_step3", "normalization_steps",
             "pairs_computed")
+LANE_WIDTHS = [24, 31, 32, 33]
+WIDTHS = (st.integers(min_value=1, max_value=12)
+          | st.sampled_from([*LANE_WIDTHS, 60, 63, 64, 65, 70, 130]))
+SHAPES = ["distinct", "tied", "tail", "probabilities"]
 
 
 class Support(NamedTuple):
@@ -75,8 +90,9 @@ def make_support(width, size, shape="distinct", levels=2, seed=0, budget=DEFAULT
 
 
 @st.composite
-def supports(draw, large=False):
-    """A :class:`Support` at a width of 1-12 bits or at a lane or word edge.
+def supports(draw, large=False, widths=WIDTHS, shapes=SHAPES):
+    """A :class:`Support` at a width of 1-12 bits or at a lane or word edge
+    (or one drawn from ``widths``), of a weight shape from ``shapes``.
 
     Sizes are up to 511 outcomes, the most the default budget bins as one
     square, spread evenly over their powers of two so that the oracles
@@ -86,9 +102,8 @@ def supports(draw, large=False):
     the row blocks, and wide blocks of few tie groups through the
     tie-group path.
     """
-    width = draw(st.integers(min_value=1, max_value=12)
-                 | st.sampled_from([24, 31, 32, 33, 60, 63, 64, 65, 70, 130]))
-    shape = draw(st.sampled_from(["distinct", "tied", "tail", "probabilities"]))
+    width = draw(widths)
+    shape = draw(st.sampled_from(shapes))
     levels = draw(st.integers(min_value=2, max_value=6) if shape == "tail"
                   else st.integers(min_value=1, max_value=3))
     octave = draw(st.integers(min_value=0, max_value=8))
@@ -135,25 +150,63 @@ def test_hammer_and_global_chs_match_oracles(case):
     assert_matches_oracles(case)
 
 
-@settings(max_examples=50)
-@example(case=make_support(60, 400, "tied", levels=3, seed=60, budget=1 << 10), mask=-1,
-         perm=list(range(129, -1, -1)))
-@given(case=supports(large=True),
-       mask=st.just(-1) | st.integers(min_value=0, max_value=2 ** 130 - 1),
-       perm=st.permutations(range(130)))
-def test_xor_and_bit_permutations_at_any_width(case, mask, perm):
-    # The mask is cut to the width, so -1 is the all-ones complement; the
-    # positions of a permutation of 130 that are below the width are a
-    # permutation of the width's. The example's 400 outcomes of three
-    # counts at 60 bits are binned by tie group in every block that ends
-    # at column 366 or later.
-    width = case.width
+@settings(max_examples=15)
+@pytest.mark.parametrize("budget", [1, 7, 64])
+@given(case=supports())
+def test_small_blocks_match_oracles(budget, case):
+    # Blocks of one or a few rows cut the tie groups at block boundaries;
+    # supports of fewer than ``budget`` pairs are binned as one square.
+    assert_matches_oracles(case._replace(budget=budget))
+
+
+@settings(max_examples=20)
+@given(supports(shapes=["tail"]))
+def test_tie_group_and_column_blocks_match_oracles(case):
+    # The light levels come first in the sorted order, in few tie groups,
+    # so their blocks are binned by (tie group, distance); each tail count
+    # is a group of its own, so the last block has more groups than half
+    # its columns hold and falls back to binning by column.
+    assert_matches_oracles(case)
+
+
+@settings(max_examples=15)
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 1, 1 << 10])
+@given(case=supports(widths=st.sampled_from(LANE_WIDTHS)))
+def test_lane_boundary_widths_match_oracles(budget, case):
+    # The default budget bins every drawn support as one square; the small
+    # ones send it through the row blocks, by column and by tie group.
+    assert_matches_oracles(case._replace(budget=budget))
+
+
+def test_multi_word_square_matches_oracles():
+    # Two uint64 words a code; the default budget bins the 200 outcomes as one square.
+    assert_matches_oracles(make_support(70, 200, "tied", levels=3, seed=70))
+
+
+MASKS = st.just(-1) | st.integers(min_value=0, max_value=2 ** 130 - 1)
+PERMUTATIONS = st.permutations(range(130))
+
+
+def xor_move(width, mask):
+    # The mask is cut to the width, so -1 is the all-ones complement.
     key = f"0{width}b"
     mask &= (1 << width) - 1
+    return lambda s: format(int(s, 2) ^ mask, key)
+
+
+def permutation_move(width, perm):
+    # The positions of a permutation of 130 that are below the width are a
+    # permutation of the width's.
     perm = [i for i in perm if i < width]
+    return lambda s: "".join(s[i] for i in perm)
+
+
+def assert_commutes(case, *moves):
+    """Each move maps ``hammer``'s output onto that of the moved input and
+    leaves the CHS and the four counters as they were."""
     plain = run_hammer(case)
     out = plain.output.entries
-    for move in (lambda s: format(int(s, 2) ^ mask, key), lambda s: "".join(s[i] for i in perm)):
+    for move in moves:
         moved = run_hammer(case, {move(s): w for s, w in case.entries.items()})
         out_moved = moved.output.entries
         for s, v in out.items():
@@ -162,6 +215,33 @@ def test_xor_and_bit_permutations_at_any_width(case, mask, perm):
                                                           rel=TOL, abs=TOL)
         for name in COUNTERS:
             assert getattr(moved, name) == getattr(plain, name)
+
+
+@settings(max_examples=15)
+@example(case=make_support(33, 2000, "tied", seed=33), mask=-1)
+@given(case=supports(large=True), mask=MASKS)
+def test_hammer_commutes_with_xor_masks(case, mask):
+    assert_commutes(case, xor_move(case.width, mask))
+
+
+@settings(max_examples=15)
+@given(case=supports(large=True), perm=PERMUTATIONS)
+def test_hammer_commutes_with_bit_permutations(case, perm):
+    assert_commutes(case, permutation_move(case.width, perm))
+
+
+@settings(max_examples=12)
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 1 << 10])
+@example(case=make_support(60, 400, "tied", levels=3, seed=60), mask=-1,
+         perm=list(range(129, -1, -1)))
+@given(case=supports(), mask=MASKS, perm=PERMUTATIONS)
+def test_xor_and_bit_permutations_at_any_width(budget, case, mask, perm):
+    # The default budget bins every support here as one square; 1 << 10
+    # sends those of more than 32 outcomes through the row blocks. The
+    # example's 400 outcomes of three counts at 60 bits are then binned by
+    # tie group in every block that ends at column 366 or later.
+    assert_commutes(case._replace(budget=budget), xor_move(case.width, mask),
+                    permutation_move(case.width, perm))
 
 
 def test_blocks_on_both_sides_of_the_row_switch():
@@ -217,6 +297,39 @@ def test_lane_boundary_widths_reach_both_block_paths(case, monkeypatch):
 
 def test_one_large_tie_group_across_many_blocks():
     assert_matches_oracles(make_support(20, 300, "tied", seed=5, budget=1000))
+
+
+class TestWeightValidation:
+    """Weights that would break the probability sort are rejected up front."""
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_distribution_rejects_non_finite(self, weight):
+        for kind in ("counts", "probabilities"):
+            with pytest.raises(UsageError):
+                Distribution(2, {"00": weight, "01": 0.5}, kind=kind)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_parsers_reject_non_finite(self, weight):
+        with pytest.raises(ParseError):
+            from_counts({"00": weight, "01": 1})
+        with pytest.raises(ParseError):
+            distribution_from_json_obj({"00": weight, "01": 0.5, "11": 0.5})
+
+    def test_reconstruct_cli_exits_2_on_nan(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"00": NaN, "01": 0.5, "11": 0.5}')
+        assert main(["reconstruct", "--input", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_numpy_integer_counts_accepted(self):
+        d = from_counts({"01": np.int64(3), "10": np.uint8(2)})
+        assert d.entries == {"01": 3, "10": 2}
+        assert all(type(v) is int for v in d.entries.values())
+
+    @pytest.mark.parametrize("value", [True, np.True_])
+    def test_bool_counts_still_rejected(self, value):
+        with pytest.raises(ParseError):
+            from_counts({"01": value})
 
 
 @given(supports())

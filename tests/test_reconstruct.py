@@ -222,6 +222,47 @@ class TestHammer:
         out = hammer(d).output
         assert out.entries["00000000"] > out.entries["11111111"]
 
+    @given(st.integers(min_value=0, max_value=3000))
+    def test_matches_oracle(self, seed):
+        rng = random.Random(seed)
+        width = rng.randint(1, 10)
+        d = random_distribution(rng, width, rng.randint(1, 24))
+        out = hammer(d).output
+        expected = hammer_oracle(d.entries, width)
+        assert set(out.entries) == set(expected)
+        for k, v in expected.items():
+            assert out.entries[k] == pytest.approx(v, abs=1e-12)
+
+    @given(st.integers(min_value=0, max_value=2000))
+    def test_permutation_equivariance(self, seed):
+        rng = random.Random(seed)
+        width = rng.randint(2, 10)
+        d = random_distribution(rng, width, rng.randint(1, 16))
+        perm = list(range(width))
+        rng.shuffle(perm)
+        remap = lambda s: "".join(s[i] for i in perm)
+        permuted = Distribution(
+            width, {remap(k): v for k, v in d.entries.items()}, kind="probabilities"
+        )
+        out = hammer(d).output
+        out_p = hammer(permuted).output
+        for k, v in out.entries.items():
+            assert out_p.entries[remap(k)] == pytest.approx(v, abs=1e-12)
+
+    @given(st.integers(min_value=0, max_value=2000))
+    def test_complement_equivariance(self, seed):
+        rng = random.Random(seed)
+        width = rng.randint(1, 10)
+        d = random_distribution(rng, width, rng.randint(1, 16))
+        flip = lambda s: "".join("1" if c == "0" else "0" for c in s)
+        flipped = Distribution(
+            width, {flip(k): v for k, v in d.entries.items()}, kind="probabilities"
+        )
+        out = hammer(d).output
+        out_f = hammer(flipped).output
+        for k, v in out.entries.items():
+            assert out_f.entries[flip(k)] == pytest.approx(v, abs=1e-12)
+
 
 @st.composite
 def counts_or_probabilities(draw):
