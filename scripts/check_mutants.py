@@ -44,6 +44,18 @@ from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PAIR_TESTS = ("tests/test_pair_kernel.py",)
+# The flag checks of cli._cmd_metrics and the reads they guard.
+METRICS_FLAG_CHECKS = (
+    "    if args.before or args.after:\n"
+    "        if not (args.before and args.after) or args.input:\n"
+    '            raise UsageError("use either --input or both --before and --after")\n'
+    "    elif not args.input:\n"
+    '        raise UsageError("metrics needs --input, or --before and --after")\n'
+)
+METRICS_READS = (
+    "    correct = _correct_set(args.correct)\n"
+    "    reference = load_distribution(args.reference) if args.reference else None\n"
+)
 
 
 class Mutant(NamedTuple):
@@ -94,6 +106,16 @@ MUTANTS = [
            ("tests/test_core.py",), "probabilities 5e-9 off a sum of 1 are accepted"),
     Mutant("M12", "src/hamrec/core.py", "        probs.flags.writeable = False\n", "",
            ("tests/test_reconstruct.py",), "a derived distribution's weights stay writable"),
+    # Checks that run before the work they guard.
+    Mutant("M13", "src/hamrec/qaoa_cost.py",
+           "    c_exp = expected_cost(g, d)  # checks the width before c_min's brute force\n"
+           "    return float(_ratios(c_exp, _resolved_c_min(g, c_min_override)))\n",
+           "    cmin = _resolved_c_min(g, c_min_override)\n"
+           "    return float(_ratios(expected_cost(g, d), cmin))\n",
+           ("tests/test_qaoa.py",), "cost_ratio brute-forces C_min before the width check"),
+    Mutant("M14", "src/hamrec/cli.py", METRICS_FLAG_CHECKS + METRICS_READS,
+           METRICS_READS + METRICS_FLAG_CHECKS,
+           ("tests/test_cli.py",), "metrics reads --reference before it checks its flags"),
 ]
 
 

@@ -224,7 +224,7 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
         if groups * (width + 1) <= stop // 2:
             if group is None:
                 group = np.concatenate(([0], np.cumsum(new_group)))
-                p_group = np.unique(p)
+                p_group = p[np.concatenate(([True], new_group))]
             light, near = _bin_by_tie_group(dist, start, group, p_group[:groups], width, scratch)
         else:
             light = np.empty((rows, n_bins))

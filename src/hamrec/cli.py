@@ -8,7 +8,8 @@ Conventions shared by every subcommand:
 * exit codes: 0 success, 1 usage error or out of memory, 2 data/parse error;
 * inputs and flags are validated fully before any output file is written,
   a command's output paths (stdout counted as one) must name different
-  files, and its output files are replaced together once all their
+  files, and a subcommand only returns its ``(text, path)`` outputs:
+  :func:`main` writes them, replacing the files together once all their
   contents are computed, so a failed write leaves none of them changed.
 """
 
@@ -71,7 +72,8 @@ def _ensure_writable(*paths: str | None) -> None:
 def _emit(*outputs: tuple[str, str]) -> None:
     """Write each ``(text, path)`` output, "-" meaning stdout.
 
-    Every text is computed before this is called; the files are written
+    :func:`main` calls this once, with the outputs its command returned, so
+    every text is computed before any is written; the files are written
     together through :func:`write_files`, then stdout.
     """
     write_files({p: t for t, p in outputs if p != "-"})
@@ -86,10 +88,6 @@ def _json_text(obj) -> str:
         return json.dumps(obj, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:  # JSON cannot hold NaN or an infinity
         raise UsageError(f"result cannot be written as JSON: {exc}") from None
-
-
-def _emit_json(obj, path: str) -> None:
-    _emit((_json_text(obj), path))
 
 
 def _progress(args, text: str) -> None:
@@ -113,7 +111,7 @@ def _parse_corr(spec: str) -> tuple[str, float]:
     return mask, q
 
 
-def _cmd_reconstruct(args) -> int:
+def _cmd_reconstruct(args) -> list[tuple[str, str]]:
     d = load_distribution(args.input)
     _progress(args, f"loaded {len(d)} outcomes (width {d.width})")
     t0 = time.perf_counter()
@@ -134,25 +132,20 @@ def _cmd_reconstruct(args) -> int:
             "wall_time_s": wall,
         }
         outputs.append((_json_text(report), args.report))
-    _emit(*outputs)
-    return 0
+    return outputs
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> list[tuple[str, str]]:
     d = load_distribution(args.input)
     spec = build_spectrum(d, _correct_set(args.correct))
-    if args.csv:
-        _emit((spectrum_to_csv(spec), args.output))
-    else:
-        _emit_json(spectrum_to_json_obj(spec), args.output)
-    return 0
+    text = spectrum_to_csv(spec) if args.csv else _json_text(spectrum_to_json_obj(spec))
+    return [(text, args.output)]
 
 
-def _cmd_ehd(args) -> int:
+def _cmd_ehd(args) -> list[tuple[str, str]]:
     d = load_distribution(args.input)
     value = ehd(d, _correct_set(args.correct), mode=args.mode)
-    _emit_json({"ehd": value, "mode": args.mode, "width": d.width}, args.output)
-    return 0
+    return [(_json_text({"ehd": value, "mode": args.mode, "width": d.width}), args.output)]
 
 
 def _ratio(num: float, den: float) -> float | None:
@@ -161,32 +154,31 @@ def _ratio(num: float, den: float) -> float | None:
     return q if math.isfinite(q) else None
 
 
-def _cmd_metrics(args) -> int:
-    correct = _correct_set(args.correct)
-    reference = load_distribution(args.reference) if args.reference else None
+def _cmd_metrics(args) -> list[tuple[str, str]]:
     if args.before or args.after:
         if not (args.before and args.after) or args.input:
             raise UsageError("use either --input or both --before and --after")
-        before = merit_report(load_distribution(args.before), correct, reference)
-        after = merit_report(load_distribution(args.after), correct, reference)
-        obj = {
-            "before": before.to_json_obj(),
-            "after": after.to_json_obj(),
-            "pst_ratio": _ratio(after.pst, before.pst),
-            "ist_ratio": _ratio(after.ist, before.ist),
-        }
-        if reference is not None:
-            obj["tvd_ratio"] = _ratio(before.tvd, after.tvd)
-        _emit_json(obj, args.output)
-        return 0
-    if not args.input:
+    elif not args.input:
         raise UsageError("metrics needs --input, or --before and --after")
-    report = merit_report(load_distribution(args.input), correct, reference)
-    _emit_json(report.to_json_obj(), args.output)
-    return 0
+    correct = _correct_set(args.correct)
+    reference = load_distribution(args.reference) if args.reference else None
+    if args.input:
+        report = merit_report(load_distribution(args.input), correct, reference)
+        return [(_json_text(report.to_json_obj()), args.output)]
+    before = merit_report(load_distribution(args.before), correct, reference)
+    after = merit_report(load_distribution(args.after), correct, reference)
+    obj = {
+        "before": before.to_json_obj(),
+        "after": after.to_json_obj(),
+        "pst_ratio": _ratio(after.pst, before.pst),
+        "ist_ratio": _ratio(after.ist, before.ist),
+    }
+    if reference is not None:
+        obj["tvd_ratio"] = _ratio(before.tvd, after.tvd)
+    return [(_json_text(obj), args.output)]
 
 
-def _cmd_qaoa(args) -> int:
+def _cmd_qaoa(args) -> list[tuple[str, str]]:
     graph = load_graph(args.graph)
     d = load_distribution(args.counts)
     c_exp = expected_cost(graph, d)  # checks the width before c_min's brute force
@@ -194,16 +186,12 @@ def _cmd_qaoa(args) -> int:
     cr = cost_ratio(graph, d, c_min_override=cmin)
     curve = quality_curve(graph, d, c_min_override=cmin)
     if args.csv:
-        _emit((curve.to_csv(), args.output))
-    else:
-        _emit_json(
-            {"c_exp": c_exp, "c_min": cmin, "cr": cr, "curve": curve.to_json_obj()},
-            args.output,
-        )
-    return 0
+        return [(curve.to_csv(), args.output)]
+    obj = {"c_exp": c_exp, "c_min": cmin, "cr": cr, "curve": curve.to_json_obj()}
+    return [(_json_text(obj), args.output)]
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> list[tuple[str, str]]:
     model = NoiseModel(
         per_bit_flip=args.flip,
         correlated_errors=tuple(_parse_corr(s) for s in args.corr or ()),
@@ -211,8 +199,7 @@ def _cmd_synth(args) -> int:
     )
     counts = sample_noisy(ideal_bv(args.key), model, args.trials)
     _progress(args, f"sampled {args.trials} trials onto {len(counts)} outcomes")
-    _emit((distribution_to_json(counts), args.output))
-    return 0
+    return [(distribution_to_json(counts), args.output)]
 
 
 def _build_parser() -> _Parser:
@@ -277,7 +264,8 @@ def main(argv=None) -> int:
         if "run" not in args:
             parser.error("a subcommand is required")
         _ensure_writable(args.output, getattr(args, "report", None))
-        return args.run(args)
+        _emit(*args.run(args))
+        return 0
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 0 if code is None else 1

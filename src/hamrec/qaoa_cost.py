@@ -182,8 +182,8 @@ def _ratios(costs, cmin: float):
 
 def cost_ratio(g: CutGraph, d: Distribution, c_min_override: float | None = None) -> float:
     """Cost Ratio C_exp / C_min; 1 is optimal, negative means anti-optimal."""
-    cmin = _resolved_c_min(g, c_min_override)
-    return float(_ratios(expected_cost(g, d), cmin))
+    c_exp = expected_cost(g, d)  # checks the width before c_min's brute force
+    return float(_ratios(c_exp, _resolved_c_min(g, c_min_override)))
 
 
 def quality_curve(g: CutGraph, d: Distribution, c_min_override: float | None = None) -> QualityCurve:
@@ -192,9 +192,10 @@ def quality_curve(g: CutGraph, d: Distribution, c_min_override: float | None = N
     Outcomes with identical cost collapse into a single point; points are
     ordered from the best ratio (1 when the optimum was observed) downward.
     """
-    cmin = _resolved_c_min(g, c_min_override)
     d = as_probabilities(d)
-    ratios, slot = np.unique(_ratios(_costs(g, d.codes, d.width), cmin), return_inverse=True)
+    costs = _costs(g, d.codes, d.width)  # checks the width before c_min's brute force
+    cmin = _resolved_c_min(g, c_min_override)
+    ratios, slot = np.unique(_ratios(costs, cmin), return_inverse=True)
     # bincount and cumsum add in order, one term at a time: each ratio's
     # mass in ascending outcome order, then the ratios from the best down.
     mass = np.bincount(slot, weights=d.weights, minlength=len(ratios))[::-1]

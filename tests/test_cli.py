@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import hamrec.core
 from hamrec import hammer, load_distribution, merit_report
 from hamrec import UsageError
-from hamrec.cli import _emit_json, main
+from hamrec.cli import _json_text, main
 
 COUNTS = {"1010101010": 800, "1010100010": 150, "1110101010": 50}
 
@@ -97,6 +97,11 @@ USAGE_ROWS = _through_main_and_python_m([
      "metrics needs --input, or --before and --after", False),
     ("metrics-input-and-before", "metrics --input a.json --before b.json --after b.json "
      "--correct 1", "use either --input or both --before and --after", False),
+    ("metrics-without-input-missing-reference", "metrics --correct 1 --reference missing.json",
+     "metrics needs --input, or --before and --after", False),
+    ("metrics-input-and-before-missing-reference", "metrics --input a.json --before b.json "
+     "--after b.json --correct 1 --reference missing.json",
+     "use either --input or both --before and --after", False),
 ])
 
 # Bad distributions: (id, the bytes of the input, the message after
@@ -599,7 +604,7 @@ class TestStrictOutputs:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_json_output_never_holds_nan_or_infinity(self, capsys, value):
         with pytest.raises(UsageError, match="JSON"):
-            _emit_json({"cr": value}, None)
+            _json_text({"cr": value})
         assert capsys.readouterr().out == ""
 
 

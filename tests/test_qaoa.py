@@ -256,10 +256,15 @@ class TestQualityCurve:
         assert cums[-1] == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("key", ["01101", "01"])
-    def test_width_mismatch(self, key):
+    def test_width_mismatch(self, key, monkeypatch):
+        def no_brute_force(g):
+            raise AssertionError("c_min ran before the width check")
+
+        monkeypatch.setattr("hamrec.qaoa_cost.c_min", no_brute_force)
         d = Distribution(len(key), {key: 1.0}, kind="probabilities")
-        with pytest.raises(UsageError, match="width mismatch"):
-            quality_curve(TRIANGLE, d)
+        for measure in (quality_curve, cost_ratio):
+            with pytest.raises(UsageError, match="width mismatch"):
+                measure(TRIANGLE, d)
 
 
 class TestGraphJson:
