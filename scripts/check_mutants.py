@@ -4,7 +4,8 @@
 Each entry of ``MUTANTS`` names a file, an exact text in it, the text
 that replaces it, the test files that must fail with the mutant in place,
 and what the mutant breaks. For each entry the script copies ``src/``,
-``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
+``tests/``, ``scripts/`` and ``pyproject.toml`` to a temporary directory
+(``tests/test_scripts.py`` runs the scripts), applies the
 mutant there and runs ``pytest -x`` on the named files. It exits non-zero
 when a mutant survives, when its tests end in anything but a test failure
 (a collection error is not a kill), or when an old text does not occur
@@ -55,6 +56,17 @@ METRICS_FLAG_CHECKS = (
 METRICS_READS = (
     "    correct = _correct_set(args.correct)\n"
     "    reference = load_distribution(args.reference) if args.reference else None\n"
+)
+
+# The --cmin check of cli._cmd_qaoa and the two reads it comes before.
+QAOA_CMIN_CHECK = (
+    "    cmin = None if args.cmin is None else checked_c_min(args.cmin)  # before any file is read\n"
+)
+QAOA_READS = "    report = qaoa_report(load_graph(args.graph), load_distribution(args.counts), cmin)\n"
+QAOA_READS_FIRST = (
+    "    graph, d = load_graph(args.graph), load_distribution(args.counts)\n"
+    + QAOA_CMIN_CHECK
+    + "    report = qaoa_report(graph, d, cmin)\n"
 )
 
 
@@ -109,13 +121,33 @@ MUTANTS = [
     # Checks that run before the work they guard.
     Mutant("M13", "src/hamrec/qaoa_cost.py",
            "    c_exp = expected_cost(g, d)  # checks the width before c_min's brute force\n"
-           "    return float(_ratios(c_exp, _resolved_c_min(g, c_min_override)))\n",
-           "    cmin = _resolved_c_min(g, c_min_override)\n"
-           "    return float(_ratios(expected_cost(g, d), cmin))\n",
+           "    cmin = c_min(g) if c_min_override is None else c_min_override\n",
+           "    cmin = c_min(g) if c_min_override is None else c_min_override\n"
+           "    c_exp = expected_cost(g, d)\n",
            ("tests/test_qaoa.py",), "cost_ratio brute-forces C_min before the width check"),
     Mutant("M14", "src/hamrec/cli.py", METRICS_FLAG_CHECKS + METRICS_READS,
            METRICS_READS + METRICS_FLAG_CHECKS,
            ("tests/test_cli.py",), "metrics reads --reference before it checks its flags"),
+    Mutant("M15", "src/hamrec/cli.py", QAOA_CMIN_CHECK + QAOA_READS, QAOA_READS_FIRST,
+           ("tests/test_cli.py",), "qaoa reads --graph and --counts before it checks --cmin"),
+    # One cost pass, one C_min search.
+    Mutant("M16", "scripts/run_qaoa_pipeline.py",
+           "recon = qaoa_report(graph, hammer(counts).output, c_min_override=cmin)",
+           "recon = qaoa_report(graph, hammer(counts).output)",
+           ("tests/test_scripts.py",), "the QAOA script brute-forces C_min twice"),
+    # Bounds and signs in qaoa_cost.py.
+    Mutant("M17", "src/hamrec/qaoa_cost.py", "0 <= u < self.n_vertices", "0 <= u <= self.n_vertices",
+           ("tests/test_qaoa.py",), "a graph accepts a first endpoint equal to the vertex count"),
+    Mutant("M18", "src/hamrec/qaoa_cost.py",
+           "np.divide(costs, cmin) + 0.0", "np.divide(costs, cmin) - 0.0",
+           ("tests/test_qaoa.py",), "a zero cost ratio is -0.0, and qaoa --csv writes -0.0"),
+    Mutant("M19", "src/hamrec/qaoa_cost.py", "n > BRUTE_FORCE_LIMIT", "n >= BRUTE_FORCE_LIMIT",
+           ("tests/test_qaoa.py",), "c_min refuses a graph of exactly BRUTE_FORCE_LIMIT vertices"),
+    # cost_ratio keeps its own path: only the expected cost's ratio must be finite.
+    Mutant("M20", "src/hamrec/qaoa_cost.py",
+           "    return float(_ratios(c_exp, checked_c_min(cmin)))\n",
+           "    return qaoa_report(g, d, cmin).cr\n",
+           ("tests/test_qaoa.py",), "cost_ratio fails when one outcome's ratio overflows"),
 ]
 
 
@@ -134,7 +166,7 @@ def check(m: Mutant) -> tuple[bool, str]:
     """(killed, one line on how the run went)."""
     with tempfile.TemporaryDirectory(prefix=f"mutant-{m.name}-") as tmp:
         tree = pathlib.Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "scripts"):
             shutil.copytree(ROOT / part, tree / part,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         shutil.copy2(ROOT / "pyproject.toml", tree)

@@ -8,46 +8,30 @@ and cumulative quality curve before and after.
 
 import argparse
 
-from hamrec import (
-    CutGraph,
-    cost_ratio,
-    c_min,
-    expected_cost,
-    hammer,
-    ideal_bv,
-    normalize,
-    NoiseModel,
-    UsageError,
-    quality_curve,
-    sample_noisy,
-)
-
-
-def ring(n: int) -> CutGraph:
-    return CutGraph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))
+from hamrec import (CutGraph, NoiseModel, UsageError, c_min, hammer, ideal_bv, qaoa_report,
+                    sample_noisy)
 
 
 def run(args: argparse.Namespace) -> None:
-    graph = ring(args.vertices)
+    n = args.vertices
+    graph = CutGraph(n, tuple((i, (i + 1) % n, 1.0) for i in range(n)))  # a ring
     # an alternating assignment cuts every edge of an even ring
-    optimal = "01" * (args.vertices // 2) + "0" * (args.vertices % 2)
+    optimal = "01" * (n // 2) + "0" * (n % 2)
     model = NoiseModel(per_bit_flip=args.flip, seed=args.seed)
     counts = sample_noisy(ideal_bv(optimal), model, args.trials)
-    noisy = normalize(counts)
-    recon = hammer(counts).output
     cmin = c_min(graph)
+    noisy = qaoa_report(graph, counts, c_min_override=cmin)
+    recon = qaoa_report(graph, hammer(counts).output, c_min_override=cmin)
 
-    print(f"ring graph n={args.vertices}  c_min={cmin}  "
+    print(f"ring graph n={n}  c_min={cmin}  "
           f"flip={args.flip}  trials={args.trials}  seed={args.seed}")
     print()
     print(f"{'quantity':<16}{'noisy':>12}{'reconstructed':>16}")
-    print(f"{'<C>':<16}{expected_cost(graph, noisy):>12.4f}"
-          f"{expected_cost(graph, recon):>16.4f}")
-    print(f"{'cost ratio':<16}{cost_ratio(graph, noisy, c_min_override=cmin):>12.4f}"
-          f"{cost_ratio(graph, recon, c_min_override=cmin):>16.4f}")
+    print(f"{'<C>':<16}{noisy.c_exp:>12.4f}{recon.c_exp:>16.4f}")
+    print(f"{'cost ratio':<16}{noisy.cr:>12.4f}{recon.cr:>16.4f}")
     print()
     print("cumulative quality curve (reconstructed):")
-    for ratio, mass in quality_curve(graph, recon, c_min_override=cmin).points[:8]:
+    for ratio, mass in recon.curve.points[:8]:
         print(f"  cr >= {ratio:+.4f}: {mass:.4f}")
 
 

@@ -38,6 +38,7 @@ from .qaoa_cost import (
     BRUTE_FORCE_LIMIT,
     CapabilityError,
     CutGraph,
+    QaoaReport,
     QualityCurve,
     c_min,
     cost_ratio,
@@ -46,6 +47,7 @@ from .qaoa_cost import (
     graph_from_json_obj,
     graph_to_json_obj,
     load_graph,
+    qaoa_report,
     quality_curve,
 )
 from .reconstruct import (
@@ -78,6 +80,7 @@ __all__ = [
     "MeritReport",
     "NoiseModel",
     "ParseError",
+    "QaoaReport",
     "QualityCurve",
     "ReconstructionReport",
     "UsageError",
@@ -108,6 +111,7 @@ __all__ = [
     "neighborhood_score",
     "normalize",
     "pst",
+    "qaoa_report",
     "quality_curve",
     "sample_noisy",
     "save_distribution",

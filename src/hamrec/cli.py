@@ -32,7 +32,7 @@ from .core import (
     write_files,
 )
 from .metrics import merit_report
-from .qaoa_cost import c_min, cost_ratio, expected_cost, load_graph, quality_curve
+from .qaoa_cost import checked_c_min, load_graph, qaoa_report
 from .reconstruct import hammer
 from .synth import NoiseModel, ideal_bv, sample_noisy
 
@@ -179,16 +179,10 @@ def _cmd_metrics(args) -> list[tuple[str, str]]:
 
 
 def _cmd_qaoa(args) -> list[tuple[str, str]]:
-    graph = load_graph(args.graph)
-    d = load_distribution(args.counts)
-    c_exp = expected_cost(graph, d)  # checks the width before c_min's brute force
-    cmin = float(args.cmin) if args.cmin is not None else c_min(graph)
-    cr = cost_ratio(graph, d, c_min_override=cmin)
-    curve = quality_curve(graph, d, c_min_override=cmin)
-    if args.csv:
-        return [(curve.to_csv(), args.output)]
-    obj = {"c_exp": c_exp, "c_min": cmin, "cr": cr, "curve": curve.to_json_obj()}
-    return [(_json_text(obj), args.output)]
+    cmin = None if args.cmin is None else checked_c_min(args.cmin)  # before any file is read
+    report = qaoa_report(load_graph(args.graph), load_distribution(args.counts), cmin)
+    text = report.curve.to_csv() if args.csv else _json_text(report.to_json_obj())
+    return [(text, args.output)]
 
 
 def _cmd_synth(args) -> list[tuple[str, str]]:

@@ -103,9 +103,6 @@ class QualityCurve:
 
     points: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
-    def to_json_obj(self) -> list:
-        return [[r, c] for r, c in self.points]
-
     def to_csv(self) -> str:
         lines = ["ratio,cumulative_probability"]
         lines.extend(f"{r!r},{c!r}" for r, c in self.points)
@@ -160,8 +157,9 @@ def expected_cost(g: CutGraph, d: Distribution) -> float:
     return float(_costs(g, d.codes, d.width) @ d.weights)
 
 
-def _resolved_c_min(g: CutGraph, c_min_override: float | None) -> float:
-    cmin = c_min(g) if c_min_override is None else float(c_min_override)
+def checked_c_min(value) -> float:
+    """``value`` as a float C_min; UsageError unless it is finite and non-zero."""
+    cmin = float(value)
     if not (math.isfinite(cmin) and cmin != 0.0):
         raise UsageError(
             f"C_min must be finite and non-zero for a cost ratio, got {cmin!r} "
@@ -183,7 +181,8 @@ def _ratios(costs, cmin: float):
 def cost_ratio(g: CutGraph, d: Distribution, c_min_override: float | None = None) -> float:
     """Cost Ratio C_exp / C_min; 1 is optimal, negative means anti-optimal."""
     c_exp = expected_cost(g, d)  # checks the width before c_min's brute force
-    return float(_ratios(c_exp, _resolved_c_min(g, c_min_override)))
+    cmin = c_min(g) if c_min_override is None else c_min_override
+    return float(_ratios(c_exp, checked_c_min(cmin)))
 
 
 def quality_curve(g: CutGraph, d: Distribution, c_min_override: float | None = None) -> QualityCurve:
@@ -192,14 +191,35 @@ def quality_curve(g: CutGraph, d: Distribution, c_min_override: float | None = N
     Outcomes with identical cost collapse into a single point; points are
     ordered from the best ratio (1 when the optimum was observed) downward.
     """
+    return qaoa_report(g, d, c_min_override).curve
+
+
+@dataclass(frozen=True)
+class QaoaReport:
+    """Expected cost, C_min, cost ratio and quality curve of one distribution."""
+
+    c_exp: float
+    c_min: float
+    cr: float
+    curve: QualityCurve
+
+    def to_json_obj(self) -> dict:
+        return {"c_exp": self.c_exp, "c_min": self.c_min, "cr": self.cr,
+                "curve": [[r, c] for r, c in self.curve.points]}
+
+
+def qaoa_report(g: CutGraph, d: Distribution, c_min_override: float | None = None) -> QaoaReport:
+    """Every figure of :class:`QaoaReport` from one pass over the cut costs."""
     d = as_probabilities(d)
     costs = _costs(g, d.codes, d.width)  # checks the width before c_min's brute force
-    cmin = _resolved_c_min(g, c_min_override)
+    cmin = checked_c_min(c_min(g) if c_min_override is None else c_min_override)
     ratios, slot = np.unique(_ratios(costs, cmin), return_inverse=True)
     # bincount and cumsum add in order, one term at a time: each ratio's
     # mass in ascending outcome order, then the ratios from the best down.
     mass = np.bincount(slot, weights=d.weights, minlength=len(ratios))[::-1]
-    return QualityCurve(points=tuple(zip(ratios[::-1].tolist(), np.cumsum(mass).tolist())))
+    curve = QualityCurve(points=tuple(zip(ratios[::-1].tolist(), np.cumsum(mass).tolist())))
+    c_exp = float(costs @ d.weights)
+    return QaoaReport(c_exp=c_exp, c_min=cmin, cr=float(_ratios(c_exp, cmin)), curve=curve)
 
 
 def graph_from_json_obj(obj) -> CutGraph:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hamrec.core
+import hamrec.qaoa_cost
 from hamrec import hammer, load_distribution, merit_report
 from hamrec import UsageError
 from hamrec.cli import _json_text, main
@@ -102,6 +103,9 @@ USAGE_ROWS = _through_main_and_python_m([
     ("metrics-input-and-before-missing-reference", "metrics --input a.json --before b.json "
      "--after b.json --correct 1 --reference missing.json",
      "use either --input or both --before and --after", False),
+    ("qaoa-cmin-before-files", "qaoa --graph missing.json --counts missing.json --cmin nan",
+     "C_min must be finite and non-zero for a cost ratio, got nan (an edgeless graph has C_min 0)",
+     False),
 ])
 
 # Bad distributions: (id, the bytes of the input, the message after
@@ -481,11 +485,25 @@ class TestQaoaCommand:
     def test_width_checked_before_brute_force(self, tmp_path, graph_file, capsys, monkeypatch):
         counts = tmp_path / "two_bits.json"
         counts.write_text(json.dumps({"01": 3, "10": 1}))
-        monkeypatch.setattr("hamrec.cli.c_min", lambda g: pytest.fail("c_min ran"))
+        monkeypatch.setattr("hamrec.qaoa_cost.c_min", lambda g: pytest.fail("c_min ran"))
         assert main(["qaoa", "--graph", str(graph_file), "--counts", str(counts)]) == 1
         captured = capsys.readouterr()
         assert captured.err == "hamrec: error: width mismatch: distribution 2, graph 3\n"
         assert captured.out == ""
+
+    def test_costs_computed_once(self, graph_file, uniform_file, capsys, monkeypatch):
+        calls = []
+        real = hamrec.qaoa_cost._costs
+
+        def counted(g, codes, width):
+            calls.append(len(codes))
+            return real(g, codes, width)
+
+        monkeypatch.setattr(hamrec.qaoa_cost, "_costs", counted)
+        assert main(["qaoa", "--graph", str(graph_file), "--counts", str(uniform_file),
+                     "--cmin", "-1"]) == 0
+        assert read_json(capsys)["c_min"] == -1.0
+        assert calls == [8]
 
     def test_uniform_cost_ratio_zero(self, graph_file, uniform_file, capsys):
         assert main(

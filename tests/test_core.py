@@ -35,6 +35,7 @@ from hamrec import (
     neighborhood_score,
     normalize,
     pst,
+    qaoa_report,
     quality_curve,
     sample_noisy,
     save_distribution,
@@ -644,6 +645,7 @@ _TAKE_A_DISTRIBUTION = {
     "expected_cost": lambda d, q, ref, g: expected_cost(g, d),
     "cost_ratio": lambda d, q, ref, g: cost_ratio(g, d),
     "quality_curve": lambda d, q, ref, g: quality_curve(g, d),
+    "qaoa_report": lambda d, q, ref, g: qaoa_report(g, d),
     "hammer": lambda d, q, ref, g: hammer(d),
     "neighborhood_score": lambda d, q, ref, g: [
         neighborhood_score(d, x, WeightVector(d.width, np.ones(chs_length(d.width))))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import warnings
 
@@ -127,6 +128,8 @@ class TestCmin:
         monkeypatch.setattr("hamrec.qaoa_cost.BRUTE_FORCE_LIMIT", 2)
         with pytest.raises(CapabilityError, match="limited to 2 vertices"):
             c_min(TRIANGLE)
+        monkeypatch.setattr("hamrec.qaoa_cost.BRUTE_FORCE_LIMIT", 3)
+        assert c_min(TRIANGLE) == -1.0  # a graph at the limit is still searched
 
     @given(st.integers(min_value=0, max_value=2000))
     def test_matches_exhaustive_oracle(self, seed):
@@ -177,6 +180,10 @@ class TestCostRatio:
 
     def test_uniform_is_zero(self):
         assert cost_ratio(TRIANGLE, uniform_distribution(3)) == pytest.approx(0.0, abs=1e-12)
+        zero = Distribution(4, {"0011": 1.0}, kind="probabilities")  # cut cost 0
+        ((ratio, _),) = quality_curve(FOUR_CYCLE, zero).points
+        for value in (ratio, cost_ratio(FOUR_CYCLE, zero)):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0  # +0.0, never -0.0
 
     def test_anti_optimal_is_negative(self):
         d = Distribution(3, {"000": 1.0}, kind="probabilities")
@@ -294,6 +301,7 @@ class TestGraphJson:
             json.loads('{"n": 3, "edges": [[0, 1, -Infinity]]}'),
             {"n": 3, "edges": 5},
             {"n": 3, "edges": [[0, 1, 1e308], [1, 2, 1e308]]},
+            {"n": 3, "edges": [[3, 0]]},
         ],
     )
     def test_rejects_malformed(self, obj):
@@ -322,3 +330,11 @@ class TestRatioOverflow:
             with pytest.raises(UsageError, match="overflows"):
                 cost_ratio(g, d, c_min_override=cmin)
             assert cost_ratio(g, d, c_min_override=-4.0) == -0.5
+
+    def test_cost_ratio_checks_only_the_expected_ratio(self):
+        # Costs +2 and -2 average to 0: 0 / cmin is finite, while 2 / cmin is not.
+        g = CutGraph(3, ((0, 1, 1.0), (0, 2, 1.0)))
+        d = Distribution(3, {"000": 0.5, "011": 0.5}, kind="probabilities")
+        assert cost_ratio(g, d, c_min_override=1e-308) == 0.0
+        with pytest.raises(UsageError, match="overflows"):
+            quality_curve(g, d, c_min_override=1e-308)
