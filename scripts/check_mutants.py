@@ -148,6 +148,16 @@ MUTANTS = [
            "    return float(_ratios(c_exp, checked_c_min(cmin)))\n",
            "    return qaoa_report(g, d, cmin).cr\n",
            ("tests/test_qaoa.py",), "cost_ratio fails when one outcome's ratio overflows"),
+    # The one integer rule and the one float conversion (src/hamrec/core.py).
+    Mutant("M21", "src/hamrec/core.py", "value >= minimum", "value > minimum",
+           ("tests/test_gate.py",), "every integer parameter rejects its own minimum"),
+    Mutant("M22", "src/hamrec/core.py",
+           "    try:\n"
+           "        return float(value)\n"
+           "    except OverflowError:\n"
+           "        return math.inf if value > 0 else -math.inf\n",
+           "    return float(value)\n",
+           ("tests/test_gate.py",), "an integer beyond float range raises a bare OverflowError"),
 ]
 
 

@@ -22,6 +22,9 @@ import numpy as np
 from .core import (
     Distribution,
     UsageError,
+    _as_float,
+    _checked_integer,
+    _is_real,
     as_probabilities,
     code_strings,
     min_distances_to_set,
@@ -47,9 +50,18 @@ def max_neighbor_distance(width: int) -> int:
 
 
 def checked_bins(values, width: int, what: str) -> np.ndarray:
-    """``values`` as a float array of one non-negative entry per distance bin;
-    NaN is rejected, ``+inf`` is kept."""
-    values = np.asarray(values, dtype=float)
+    """``values`` as a float array of one non-negative entry per distance bin
+    of an integer ``width`` >= 1. Entries are real numbers (not ``bool`` or
+    ``str``); NaN is rejected, ``+inf`` is kept, as is an integer beyond
+    float range. A numeric ndarray is converted without a Python loop."""
+    width = _checked_integer(width, f"{what} width", 1)
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        values = np.asarray(values, dtype=object)
+        for value in values.flat:
+            if not _is_real(value):
+                raise UsageError(f"{what} entries must be real numbers, got {value!r}")
+        values = np.array([_as_float(v) for v in values.flat]).reshape(values.shape)
+    values = values.astype(float, copy=False)
     if values.shape != (chs_length(width),):
         raise UsageError(f"{what} for width {width} must have {chs_length(width)} entries")
     if not (values >= 0).all():
@@ -72,6 +84,7 @@ class ChsVector:
 
     def __post_init__(self):
         object.__setattr__(self, "values", checked_bins(self.values, self.width, "CHS vector"))
+        _checked_integer(self.pair_evaluations, "pair_evaluations", 0)
 
 
 @dataclass(frozen=True)

@@ -120,18 +120,7 @@ def _cmd_reconstruct(args) -> list[tuple[str, str]]:
     _progress(args, f"reconstructed in {wall:.3f}s")
     outputs = [(distribution_to_json(rep.output), args.output)]
     if args.report:
-        report = {
-            "width": d.width,
-            "n_outcomes": len(d),
-            "chs": rep.chs.values.tolist(),
-            "weights": rep.weights.values.tolist(),
-            "pair_evaluations_step1": rep.pair_evaluations_step1,
-            "pair_evaluations_step3": rep.pair_evaluations_step3,
-            "normalization_steps": rep.normalization_steps,
-            "pairs_computed": rep.pairs_computed,
-            "wall_time_s": wall,
-        }
-        outputs.append((_json_text(report), args.report))
+        outputs.append((_json_text({**rep.to_json_obj(), "wall_time_s": wall}), args.report))
     return outputs
 
 

@@ -52,13 +52,31 @@ def _check_bitstring(s: str, width: int | None = None) -> str:
 
 
 def _is_integer(value) -> bool:
-    """An integer of any integer type, numpy's included, but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """An integer of any integer type, numpy's included, but not a bool.
+    A plain ``int`` skips the slower ABC check."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
     """A real number of any real type, numpy's included, but not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _checked_integer(value, what: str, minimum: int) -> int:
+    """``value`` as an ``int``; UsageError unless it is an integer (see
+    :func:`_is_integer`) of at least ``minimum``."""
+    if not (_is_integer(value) and value >= minimum):
+        raise UsageError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _as_float(value) -> float:
+    """A real number as a ``float``; one beyond float range (an integer or
+    a fraction) is the infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def hamming_distance(a: str, b: str) -> int:
@@ -94,10 +112,7 @@ def _check_entry(key, weight, width: int, kind: str) -> None:
         if weight >= COUNT_LIMIT:
             raise UsageError(f"count {weight!r} for outcome {key!r} is 2**63 or more")
     else:
-        try:
-            weight = float(weight)
-        except OverflowError:  # an integer beyond float range
-            weight = math.inf
+        weight = _as_float(weight)
         if not math.isfinite(weight):
             raise UsageError(f"non-finite weight {weight!r} for outcome {key!r}")
     if weight < 0:
@@ -206,11 +221,9 @@ class Distribution:
     def __init__(self, width: int, entries: Mapping | _Packed, kind: str = "counts"):
         global _last_entries
         _last_entries = (None, None)  # before the checks build the new arrays
-        if not (_is_integer(width) and width >= 1):
-            raise UsageError(f"width must be an integer >= 1, got {width!r}")
+        width = _checked_integer(width, "width", 1)
         if kind not in ("counts", "probabilities"):
             raise UsageError(f"kind must be counts or probabilities, got {kind!r}")
-        width = int(width)
         if isinstance(entries, Mapping):
             entries = _map_arrays(entries, width, kind)
         elif not isinstance(entries, _Packed):

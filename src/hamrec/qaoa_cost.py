@@ -18,6 +18,8 @@ from .core import (
     Distribution,
     ParseError,
     UsageError,
+    _as_float,
+    _checked_integer,
     _is_integer,
     _is_real,
     as_probabilities,
@@ -53,10 +55,7 @@ class CutGraph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        if not _is_integer(self.n_vertices):
-            raise UsageError(f"vertex count must be an integer, got {self.n_vertices!r}")
-        if self.n_vertices < 1:
-            raise UsageError("graph needs at least one vertex")
+        object.__setattr__(self, "n_vertices", _checked_integer(self.n_vertices, "vertex count", 1))
         seen = set()
         edges = []
         for edge in self.edges:
@@ -76,14 +75,10 @@ class CutGraph:
             seen.add(key)
             if not _is_real(w):
                 raise UsageError(f"edge weight must be a number, got {edge!r}")
-            try:
-                w = float(w)
-            except OverflowError:  # an integer beyond float range
-                w = math.inf
+            w = _as_float(w)
             if not math.isfinite(w):
                 raise UsageError(f"non-finite edge weight in {edge!r}")
             edges.append((int(u), int(v), w))
-        object.__setattr__(self, "n_vertices", int(self.n_vertices))
         object.__setattr__(self, "edges", tuple(edges))
         if not math.isfinite(self.total_weight):
             raise UsageError("total edge weight is beyond float range")
@@ -158,8 +153,11 @@ def expected_cost(g: CutGraph, d: Distribution) -> float:
 
 
 def checked_c_min(value) -> float:
-    """``value`` as a float C_min; UsageError unless it is finite and non-zero."""
-    cmin = float(value)
+    """``value`` as a float C_min; UsageError unless it is a real number (not
+    ``bool``) that is finite and non-zero."""
+    if not _is_real(value):
+        raise UsageError(f"C_min must be a real number, got {value!r}")
+    cmin = _as_float(value)
     if not (math.isfinite(cmin) and cmin != 0.0):
         raise UsageError(
             f"C_min must be finite and non-zero for a cost ratio, got {cmin!r} "

@@ -67,6 +67,19 @@ class ReconstructionReport:
     normalization_steps: int
     pairs_computed: int
 
+    def to_json_obj(self) -> dict:
+        """The object ``reconstruct --report`` writes, without its ``wall_time_s``."""
+        return {
+            "width": self.output.width,
+            "n_outcomes": len(self.output),
+            "chs": self.chs.values.tolist(),
+            "weights": self.weights.values.tolist(),
+            "pair_evaluations_step1": self.pair_evaluations_step1,
+            "pair_evaluations_step3": self.pair_evaluations_step3,
+            "normalization_steps": self.normalization_steps,
+            "pairs_computed": self.pairs_computed,
+        }
+
 
 def weights_from_chs(chs: ChsVector) -> WeightVector:
     """Invert a strength vector with a zero guard: W[d] = 1/CHS[d] or 0.

@@ -20,7 +20,7 @@ from .core import (
     Distribution,
     UsageError,
     _check_bitstring,
-    _is_integer,
+    _checked_integer,
     _is_real,
     _Packed,
     as_probabilities,
@@ -61,8 +61,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise UsageError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _checked_integer(self.seed, "seed", 0)
         if not (_is_real(self.per_bit_flip) and 0.0 <= self.per_bit_flip < 1.0):
             raise UsageError(f"per_bit_flip must be a number in [0, 1), got {self.per_bit_flip!r}")
         try:
@@ -111,10 +110,10 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     of its category (all zeros for background trials), XOR the packed
     per-bit flips of background trials. Rows of one word (width <= 64) are
     counted by one in-place sort of the words; wider rows by
-    :func:`hamrec.core.sort_rows`. No bitstring is made.
+    :func:`hamrec.core.sort_rows`. No bitstring is made. Rows that cannot
+    be allocated, however many the trials, raise :class:`MemoryError`.
     """
-    if not (_is_integer(trials) and trials >= 1):
-        raise UsageError(f"trials must be an integer >= 1, got {trials!r}")
+    trials = _checked_integer(trials, "trials", 1)
     for mask, _ in model.correlated_errors:
         if len(mask) != ideal.width:
             raise UsageError(f"mask width {len(mask)} does not match program width {ideal.width}")
@@ -127,7 +126,10 @@ def sample_noisy(ideal: Distribution, model: NoiseModel, trials: int) -> Distrib
     mask_table = pack_outcomes([m for m, _ in model.correlated_errors] + ["0" * width], width)
 
     rows = max(1, SAMPLE_BLOCK_ELEMENTS // width)
-    codes = np.empty((trials, ideal.codes.shape[1]), dtype=np.uint64)
+    try:
+        codes = np.empty((trials, ideal.codes.shape[1]), dtype=np.uint64)
+    except ValueError:  # more rows than an array can index: no memory holds them
+        raise MemoryError(f"cannot allocate {trials} sample rows") from None
     base_rng, category_rng, flip_rng = (
         np.random.Generator(np.random.PCG64(model.seed).advance(k * trials)) for k in range(3))
     for start in range(0, trials, rows):
@@ -178,8 +180,9 @@ def bv10_profile(seed: int = 0) -> Distribution:
     key. Tail masks avoid bit 6 so the dominant error keeps only the key
     itself as an in-range lower-probability neighbor; the tail clusters
     around the key instead, giving reconstruction something to reward.
+    ``seed`` is an integer >= 0.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_checked_integer(seed, "seed", 0)))
     positions = [i for i in range(10) if i != 6]
 
     one_bit = [(p,) for p in _pick(positions, 6, rng)]

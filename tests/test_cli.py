@@ -106,7 +106,11 @@ USAGE_ROWS = _through_main_and_python_m([
     ("qaoa-cmin-before-files", "qaoa --graph missing.json --counts missing.json --cmin nan",
      "C_min must be finite and non-zero for a cost ratio, got nan (an edgeless graph has C_min 0)",
      False),
-])
+]) + [
+    # Through cli.main only: a python -m row pays a full interpreter start.
+    pytest.param("synth --key 01 --trials 2305843009213693952 --output out.json",
+                 "out of memory", False, "main", id="trials-beyond-any-array"),
+]
 
 # Bad distributions: (id, the bytes of the input, the message after
 # "hamrec: error: <path or stdin>: "). Every reader exits 2 on each.
@@ -239,6 +243,26 @@ class TestReconstructCommand:
         assert rep["normalization_steps"] == n
         assert len(rep["chs"]) == len(rep["weights"]) == 5
         assert rep["wall_time_s"] >= 0.0
+
+    def test_report_is_the_library_report_and_wall_time(self, tmp_path, counts_file):
+        report = tmp_path / "report.json"
+        assert main(["reconstruct", "--input", str(counts_file), "--report", str(report)]) == 0
+        written = json.loads(report.read_text())
+        d = load_distribution(counts_file)
+        rep = hammer(d)
+        assert list(written.items()) == list({
+            "width": d.width,
+            "n_outcomes": len(d),
+            "chs": rep.chs.values.tolist(),
+            "weights": rep.weights.values.tolist(),
+            "pair_evaluations_step1": rep.pair_evaluations_step1,
+            "pair_evaluations_step3": rep.pair_evaluations_step3,
+            "normalization_steps": rep.normalization_steps,
+            "pairs_computed": rep.pairs_computed,
+            "wall_time_s": written["wall_time_s"],
+        }.items())
+        assert report.read_text() == _json_text({**rep.to_json_obj(),
+                                                 "wall_time_s": written["wall_time_s"]})
 
     def test_report_with_infinite_weight_writes_nothing(self, tmp_path, capsys):
         # CHS[1] = 1e-323 makes W[1] = inf, which the report cannot hold.
