@@ -45,6 +45,7 @@ from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PAIR_TESTS = ("tests/test_pair_kernel.py",)
+LOADING_TESTS = ("tests/test_loading.py",)
 # The flag checks of cli._cmd_metrics and the reads they guard.
 METRICS_FLAG_CHECKS = (
     "    if args.before or args.after:\n"
@@ -158,6 +159,15 @@ MUTANTS = [
            "        return math.inf if value > 0 else -math.inf\n",
            "    return float(value)\n",
            ("tests/test_gate.py",), "an integer beyond float range raises a bare OverflowError"),
+    # A call loads only its command's modules, and only the process freezes (src/hamrec/cli.py).
+    Mutant("M23", "src/hamrec/cli.py",
+           "from . import ParseError, UsageError, __version__\n",
+           "from . import ParseError, UsageError, __version__\nfrom .reconstruct import hammer\n",
+           LOADING_TESTS, "every call, a usage error included, loads numpy and hammer's modules"),
+    Mutant("M24", "src/hamrec/cli.py",
+           "    gc.freeze()\n    raise SystemExit(code)\n\n\ndef main(argv=None) -> int:\n    try:\n",
+           "    raise SystemExit(code)\n\n\ndef main(argv=None) -> int:\n    gc.freeze()\n    try:\n",
+           LOADING_TESTS, "an in-process cli.main freezes its caller's heap"),
 ]
 
 

@@ -40,8 +40,8 @@ PAIR_BLOCK_ELEMENTS = 1 << 18
 
 
 def chs_length(width: int) -> int:
-    """Number of tracked distance bins: ceil(width / 2)."""
-    return (width + 1) // 2
+    """Number of tracked distance bins of an integer ``width`` >= 1: ceil(width / 2)."""
+    return (_checked_integer(width, "width", 1) + 1) // 2
 
 
 def max_neighbor_distance(width: int) -> int:
@@ -319,8 +319,11 @@ def ehd(d: Distribution, reference, mode: str = "normalized") -> float:
 
 
 def uniform_ehd_closed_form(width: int) -> float:
-    """Normalized EHD of the uniform distribution with a singleton reference."""
-    return width * 2.0 ** (width - 1) / (2.0 ** width - 1)
+    """Normalized EHD of the uniform distribution over an integer ``width``
+    >= 1 bits with a singleton reference: ``width * 2**(width-1) /
+    (2**width - 1)``, written so that no power overflows a float."""
+    width = _checked_integer(width, "width", 1)
+    return width / (2 - 2.0 ** (1 - width))
 
 
 # ---------------------------------------------------------------------------

@@ -10,31 +10,22 @@ Conventions shared by every subcommand:
   a command's output paths (stdout counted as one) must name different
   files, and a subcommand only returns its ``(text, path)`` outputs:
   :func:`main` writes them, replacing the files together once all their
-  contents are computed, so a failed write leaves none of them changed.
+  contents are computed, so a failed write leaves none of them changed;
+* a subcommand imports the library modules it uses when it runs, so a
+  call loads only its own command's modules, and a usage error no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import sys
 import time
 
-from . import __version__
-from .analysis import build_spectrum, ehd, spectrum_to_csv, spectrum_to_json_obj
-from .core import (
-    ParseError,
-    UsageError,
-    distribution_to_json,
-    load_distribution,
-    write_files,
-)
-from .metrics import merit_report
-from .qaoa_cost import checked_c_min, load_graph, qaoa_report
-from .reconstruct import hammer
-from .synth import NoiseModel, ideal_bv, sample_noisy
+from . import ParseError, UsageError, __version__
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,8 +65,10 @@ def _emit(*outputs: tuple[str, str]) -> None:
 
     :func:`main` calls this once, with the outputs its command returned, so
     every text is computed before any is written; the files are written
-    together through :func:`write_files`, then stdout.
+    together through :func:`~hamrec.core.write_files`, then stdout.
     """
+    from .core import write_files
+
     write_files({p: t for t, p in outputs if p != "-"})
     for text, path in outputs:
         if path == "-":
@@ -112,6 +105,9 @@ def _parse_corr(spec: str) -> tuple[str, float]:
 
 
 def _cmd_reconstruct(args) -> list[tuple[str, str]]:
+    from .core import distribution_to_json, load_distribution
+    from .reconstruct import hammer
+
     d = load_distribution(args.input)
     _progress(args, f"loaded {len(d)} outcomes (width {d.width})")
     t0 = time.perf_counter()
@@ -125,6 +121,9 @@ def _cmd_reconstruct(args) -> list[tuple[str, str]]:
 
 
 def _cmd_spectrum(args) -> list[tuple[str, str]]:
+    from .analysis import build_spectrum, spectrum_to_csv, spectrum_to_json_obj
+    from .core import load_distribution
+
     d = load_distribution(args.input)
     spec = build_spectrum(d, _correct_set(args.correct))
     text = spectrum_to_csv(spec) if args.csv else _json_text(spectrum_to_json_obj(spec))
@@ -132,6 +131,9 @@ def _cmd_spectrum(args) -> list[tuple[str, str]]:
 
 
 def _cmd_ehd(args) -> list[tuple[str, str]]:
+    from .analysis import ehd
+    from .core import load_distribution
+
     d = load_distribution(args.input)
     value = ehd(d, _correct_set(args.correct), mode=args.mode)
     return [(_json_text({"ehd": value, "mode": args.mode, "width": d.width}), args.output)]
@@ -144,6 +146,9 @@ def _ratio(num: float, den: float) -> float | None:
 
 
 def _cmd_metrics(args) -> list[tuple[str, str]]:
+    from .core import load_distribution
+    from .metrics import merit_report
+
     if args.before or args.after:
         if not (args.before and args.after) or args.input:
             raise UsageError("use either --input or both --before and --after")
@@ -168,6 +173,9 @@ def _cmd_metrics(args) -> list[tuple[str, str]]:
 
 
 def _cmd_qaoa(args) -> list[tuple[str, str]]:
+    from .core import load_distribution
+    from .qaoa_cost import checked_c_min, load_graph, qaoa_report
+
     cmin = None if args.cmin is None else checked_c_min(args.cmin)  # before any file is read
     report = qaoa_report(load_graph(args.graph), load_distribution(args.counts), cmin)
     text = report.curve.to_csv() if args.csv else _json_text(report.to_json_obj())
@@ -175,6 +183,9 @@ def _cmd_qaoa(args) -> list[tuple[str, str]]:
 
 
 def _cmd_synth(args) -> list[tuple[str, str]]:
+    from .core import distribution_to_json
+    from .synth import NoiseModel, ideal_bv, sample_noisy
+
     model = NoiseModel(
         per_bit_flip=args.flip,
         correlated_errors=tuple(_parse_corr(s) for s in args.corr or ()),
@@ -240,6 +251,18 @@ def _build_parser() -> _Parser:
     return top
 
 
+def run() -> None:
+    """The process entry point of ``python -m hamrec`` and the ``hamrec``
+    script: :func:`main`, then exit with its code. Freezing the heap first
+    lets the interpreter's final collections skip every object (numpy's
+    included), while atexit handlers, stdio flushes and file closes still
+    run. :func:`main` itself never freezes, so in-process callers keep
+    their collector as it was."""
+    code = main()
+    gc.freeze()
+    raise SystemExit(code)
+
+
 def main(argv=None) -> int:
     try:
         parser = _build_parser()
@@ -261,4 +284,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -25,20 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ParseError, UsageError
+
 PROB_SUM_TOL = 1e-9
 
 # Counts are stored as int64: every count, and their total, stays below this.
 COUNT_LIMIT = 2**63
 
 _BITS = frozenset("01")
-
-
-class UsageError(ValueError):
-    """An operation was called with arguments that violate its contract."""
-
-
-class ParseError(ValueError):
-    """Input data (counts/probability/graph files) is malformed."""
 
 
 def _check_bitstring(s: str, width: int | None = None) -> str:

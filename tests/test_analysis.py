@@ -192,6 +192,8 @@ class TestEhd:
             d = normalize(from_counts(entries))
             assert ehd(d, {"0" * n}) == pytest.approx(uniform_ehd_closed_form(n), abs=1e-9)
         assert uniform_ehd_closed_form(4) == pytest.approx(32 / 15)
+        # Widths whose 2**width is beyond float range: the limit width / 2.
+        assert uniform_ehd_closed_form(1100) == 550.0
 
     def test_bad_mode(self):
         with pytest.raises(UsageError):

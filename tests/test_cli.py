@@ -305,7 +305,7 @@ class TestReconstructCommand:
             report = tmp_path / "link.json"
             report.symlink_to(out)
         before = sorted(p.name for p in tmp_path.iterdir())
-        monkeypatch.setattr("hamrec.cli.hammer", lambda d: pytest.fail("hammer ran"))
+        monkeypatch.setattr("hamrec.reconstruct.hammer", lambda d: pytest.fail("hammer ran"))
         code = main(
             ["reconstruct", "--input", str(counts_file), "--output", str(out),
              "--report", str(report)]
@@ -319,7 +319,7 @@ class TestReconstructCommand:
                              ids=["default-output", "explicit-output"])
     def test_two_outputs_on_stdout_rejected(self, counts_file, capsys, monkeypatch, outputs):
         # Two JSON texts in one stream are not JSON: stdout counts as one file.
-        monkeypatch.setattr("hamrec.cli.hammer", lambda d: pytest.fail("hammer ran"))
+        monkeypatch.setattr("hamrec.reconstruct.hammer", lambda d: pytest.fail("hammer ran"))
         assert main(["reconstruct", "--input", str(counts_file), *outputs]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -631,7 +631,7 @@ class TestStrictOutputs:
     def test_out_of_memory_is_exit_1(self, capsys, monkeypatch):
         def exhausted(*args):
             raise MemoryError
-        monkeypatch.setattr("hamrec.cli.sample_noisy", exhausted)
+        monkeypatch.setattr("hamrec.synth.sample_noisy", exhausted)
         assert main(["synth", "--key", "0101"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -26,6 +26,7 @@ from hamrec import (
     build_spectrum,
     bv10_profile,
     chs_for_outcome,
+    chs_length,
     cost_ratio,
     cut_cost,
     ehd,
@@ -33,12 +34,14 @@ from hamrec import (
     hamming_distance,
     ideal_bv,
     ist,
+    max_neighbor_distance,
     min_distance_to_set,
     neighborhood_score,
     pst,
     qaoa_report,
     quality_curve,
     sample_noisy,
+    uniform_ehd_closed_form,
     weights_from_chs,
 )
 from hamrec.core import pack_outcomes
@@ -108,6 +111,9 @@ INTEGERS = {
     "sample_noisy trials": (lambda v: sample_noisy(ideal_bv("01"), NoiseModel(), v), "trials", 1),
     "bv10_profile seed": (bv10_profile, "seed", 0),
     "CutGraph vertex count": (lambda v: CutGraph(v, ()), "vertex count", 1),
+    "chs_length width": (chs_length, "width", 1),
+    "max_neighbor_distance width": (max_neighbor_distance, "width", 1),
+    "uniform_ehd_closed_form width": (uniform_ehd_closed_form, "width", 1),
 }
 NOT_INTEGERS = {"bool": True, "float": 1.5, "numeric-str": "3", "str": "x"}
 
