@@ -168,6 +168,15 @@ MUTANTS = [
            "    gc.freeze()\n    raise SystemExit(code)\n\n\ndef main(argv=None) -> int:\n    try:\n",
            "    raise SystemExit(code)\n\n\ndef main(argv=None) -> int:\n    gc.freeze()\n    try:\n",
            LOADING_TESTS, "an in-process cli.main freezes its caller's heap"),
+    # One writer for files and stdout, and the output check looks where it writes.
+    Mutant("M25", "src/hamrec/cli.py",
+           'for path in (p for p in paths + targets if p != "-"):',
+           'for path in (p for p in paths if p != "-"):',
+           ("tests/test_cli.py",), "a dangling output link passes the check and the work runs"),
+    Mutant("M26", "src/hamrec/core.py",
+           'for path, text in ((p, t) for p, t in texts.items() if p != "-"):',
+           "for path, text in texts.items():",
+           ("tests/test_core.py",), 'write_files stages "-" as a file named -'),
 ]
 
 

@@ -321,8 +321,9 @@ def ehd(d: Distribution, reference, mode: str = "normalized") -> float:
 def uniform_ehd_closed_form(width: int) -> float:
     """Normalized EHD of the uniform distribution over an integer ``width``
     >= 1 bits with a singleton reference: ``width * 2**(width-1) /
-    (2**width - 1)``, written so that no power overflows a float."""
-    width = _checked_integer(width, "width", 1)
+    (2**width - 1)``, written so that no power overflows a float. A width
+    beyond float range gives ``inf``."""
+    width = _as_float(_checked_integer(width, "width", 1))
     return width / (2 - 2.0 ** (1 - width))
 
 

@@ -8,9 +8,9 @@ Conventions shared by every subcommand:
 * exit codes: 0 success, 1 usage error or out of memory, 2 data/parse error;
 * inputs and flags are validated fully before any output file is written,
   a command's output paths (stdout counted as one) must name different
-  files, and a subcommand only returns its ``(text, path)`` outputs:
-  :func:`main` writes them, replacing the files together once all their
-  contents are computed, so a failed write leaves none of them changed;
+  files, and a subcommand only returns its ``{path: text}`` outputs:
+  :func:`main` writes them with :func:`~hamrec.core.write_files`, once all
+  are computed, so a failed write leaves no file changed and stdout empty;
 * a subcommand imports the library modules it uses when it runs, so a
   call loads only its own command's modules, and a usage error no numpy.
 """
@@ -39,8 +39,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _ensure_writable(*paths: str | None) -> None:
     """Each output path of one command (None: no such output) is non-empty,
-    writable and a different file; stdout ("-") counts as one file and
-    must be open."""
+    writable as given and where it resolves to (where write_files writes),
+    and a different file; stdout ("-") counts as one file and must be open."""
     paths = [p for p in paths if p is not None]
     if "" in paths:
         raise UsageError("output path must not be empty")
@@ -49,7 +49,7 @@ def _ensure_writable(*paths: str | None) -> None:
     targets = [p if p == "-" else os.path.realpath(p) for p in paths]
     if len(set(targets)) < len(targets):
         raise UsageError(f"output paths name the same file: {', '.join(paths)}")
-    for path in (p for p in paths if p != "-"):
+    for path in (p for p in paths + targets if p != "-"):
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             raise UsageError(f"output directory does not exist: {parent}")
@@ -58,21 +58,6 @@ def _ensure_writable(*paths: str | None) -> None:
                 raise UsageError(f"output path not writable: {path}")
         elif not os.access(parent, os.W_OK):
             raise UsageError(f"output directory not writable: {parent}")
-
-
-def _emit(*outputs: tuple[str, str]) -> None:
-    """Write each ``(text, path)`` output, "-" meaning stdout.
-
-    :func:`main` calls this once, with the outputs its command returned, so
-    every text is computed before any is written; the files are written
-    together through :func:`~hamrec.core.write_files`, then stdout.
-    """
-    from .core import write_files
-
-    write_files({p: t for t, p in outputs if p != "-"})
-    for text, path in outputs:
-        if path == "-":
-            sys.stdout.write(text)
 
 
 def _json_text(obj) -> str:
@@ -104,7 +89,7 @@ def _parse_corr(spec: str) -> tuple[str, float]:
     return mask, q
 
 
-def _cmd_reconstruct(args) -> list[tuple[str, str]]:
+def _cmd_reconstruct(args) -> dict[str, str]:
     from .core import distribution_to_json, load_distribution
     from .reconstruct import hammer
 
@@ -114,29 +99,29 @@ def _cmd_reconstruct(args) -> list[tuple[str, str]]:
     rep = hammer(d)
     wall = time.perf_counter() - t0
     _progress(args, f"reconstructed in {wall:.3f}s")
-    outputs = [(distribution_to_json(rep.output), args.output)]
+    outputs = {args.output: distribution_to_json(rep.output)}
     if args.report:
-        outputs.append((_json_text({**rep.to_json_obj(), "wall_time_s": wall}), args.report))
+        outputs[args.report] = _json_text({**rep.to_json_obj(), "wall_time_s": wall})
     return outputs
 
 
-def _cmd_spectrum(args) -> list[tuple[str, str]]:
+def _cmd_spectrum(args) -> dict[str, str]:
     from .analysis import build_spectrum, spectrum_to_csv, spectrum_to_json_obj
     from .core import load_distribution
 
     d = load_distribution(args.input)
     spec = build_spectrum(d, _correct_set(args.correct))
     text = spectrum_to_csv(spec) if args.csv else _json_text(spectrum_to_json_obj(spec))
-    return [(text, args.output)]
+    return {args.output: text}
 
 
-def _cmd_ehd(args) -> list[tuple[str, str]]:
+def _cmd_ehd(args) -> dict[str, str]:
     from .analysis import ehd
     from .core import load_distribution
 
     d = load_distribution(args.input)
     value = ehd(d, _correct_set(args.correct), mode=args.mode)
-    return [(_json_text({"ehd": value, "mode": args.mode, "width": d.width}), args.output)]
+    return {args.output: _json_text({"ehd": value, "mode": args.mode, "width": d.width})}
 
 
 def _ratio(num: float, den: float) -> float | None:
@@ -145,7 +130,7 @@ def _ratio(num: float, den: float) -> float | None:
     return q if math.isfinite(q) else None
 
 
-def _cmd_metrics(args) -> list[tuple[str, str]]:
+def _cmd_metrics(args) -> dict[str, str]:
     from .core import load_distribution
     from .metrics import merit_report
 
@@ -158,7 +143,7 @@ def _cmd_metrics(args) -> list[tuple[str, str]]:
     reference = load_distribution(args.reference) if args.reference else None
     if args.input:
         report = merit_report(load_distribution(args.input), correct, reference)
-        return [(_json_text(report.to_json_obj()), args.output)]
+        return {args.output: _json_text(report.to_json_obj())}
     before = merit_report(load_distribution(args.before), correct, reference)
     after = merit_report(load_distribution(args.after), correct, reference)
     obj = {
@@ -169,20 +154,20 @@ def _cmd_metrics(args) -> list[tuple[str, str]]:
     }
     if reference is not None:
         obj["tvd_ratio"] = _ratio(before.tvd, after.tvd)
-    return [(_json_text(obj), args.output)]
+    return {args.output: _json_text(obj)}
 
 
-def _cmd_qaoa(args) -> list[tuple[str, str]]:
+def _cmd_qaoa(args) -> dict[str, str]:
     from .core import load_distribution
     from .qaoa_cost import checked_c_min, load_graph, qaoa_report
 
     cmin = None if args.cmin is None else checked_c_min(args.cmin)  # before any file is read
     report = qaoa_report(load_graph(args.graph), load_distribution(args.counts), cmin)
     text = report.curve.to_csv() if args.csv else _json_text(report.to_json_obj())
-    return [(text, args.output)]
+    return {args.output: text}
 
 
-def _cmd_synth(args) -> list[tuple[str, str]]:
+def _cmd_synth(args) -> dict[str, str]:
     from .core import distribution_to_json
     from .synth import NoiseModel, ideal_bv, sample_noisy
 
@@ -193,7 +178,7 @@ def _cmd_synth(args) -> list[tuple[str, str]]:
     )
     counts = sample_noisy(ideal_bv(args.key), model, args.trials)
     _progress(args, f"sampled {args.trials} trials onto {len(counts)} outcomes")
-    return [(distribution_to_json(counts), args.output)]
+    return {args.output: distribution_to_json(counts)}
 
 
 def _build_parser() -> _Parser:
@@ -270,7 +255,10 @@ def main(argv=None) -> int:
         if "run" not in args:
             parser.error("a subcommand is required")
         _ensure_writable(args.output, getattr(args, "report", None))
-        _emit(*args.run(args))
+        outputs = args.run(args)
+        from .core import write_files
+
+        write_files(outputs)
         return 0
     except SystemExit as exc:
         code = exc.code

@@ -344,8 +344,11 @@ as_probabilities = normalize
 
 
 def reference_codes(reference, width: int) -> np.ndarray:
-    """A non-empty set of width-n bitstrings as packed rows, deduplicated
-    and in ascending order."""
+    """A non-empty collection of width-n bitstrings (not one ``str``) as
+    packed rows, deduplicated and in ascending order: the one door for a
+    reference set."""
+    if isinstance(reference, str) or not isinstance(reference, Iterable):
+        raise UsageError(f"reference set must be a collection of bitstrings, got {reference!r}")
     codes = pack_outcomes(reference, width)
     if not len(codes):
         raise UsageError("reference set must be non-empty")
@@ -518,17 +521,20 @@ def distribution_to_json(d: Distribution) -> str:
 
 
 def write_files(texts: Mapping) -> None:
-    """Write each ``{path: text}`` item as UTF-8, replacing whole files.
+    """Write each ``{path: text}`` item as UTF-8, replacing whole files;
+    ``"-"`` is stdout, written last, and a UsageError first if it is closed.
 
-    Every text first goes to a new hidden file beside its target, and the
-    targets are replaced with ``os.replace`` only once all of those are
-    written. A failed write therefore leaves every target as it was, and
-    the temporary files it made are removed. A symlinked target is written
-    through its link; a replaced file gets default permissions.
+    Every file's text first goes to a new hidden file beside its target, and
+    the targets are replaced with ``os.replace`` only once all of those are
+    written. A failed write therefore leaves every target as it was and
+    stdout empty, and the temporary files it made are removed. A symlinked
+    target is written through its link; a replaced file gets default permissions.
     """
+    if "-" in texts and sys.stdout is None:
+        raise UsageError("stdout is closed")
     staged = []
     try:
-        for path, text in texts.items():
+        for path, text in ((p, t) for p, t in texts.items() if p != "-"):
             path = os.path.realpath(path)
             head, tail = os.path.split(path)
             tmp = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
@@ -543,11 +549,11 @@ def write_files(texts: Mapping) -> None:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
         raise
+    if "-" in texts:
+        sys.stdout.write(texts["-"])
 
 
 def save_distribution(d: Distribution, path) -> None:
-    """Write entries as a JSON object, preserving canonical key order.
-
-    The file is replaced in one step (see :func:`write_files`).
-    """
+    """Write entries as a JSON object in canonical key order, to a file
+    replaced in one step or, for ``"-"``, to stdout (see :func:`write_files`)."""
     write_files({path: distribution_to_json(d)})

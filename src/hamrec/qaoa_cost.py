@@ -56,9 +56,13 @@ class CutGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "n_vertices", _checked_integer(self.n_vertices, "vertex count", 1))
+        try:
+            given = tuple(self.edges)
+        except TypeError:
+            raise UsageError(f"edges is not a sequence: {self.edges!r}") from None
         seen = set()
         edges = []
-        for edge in self.edges:
+        for edge in given:
             try:
                 u, v, w = edge
             except (TypeError, ValueError):

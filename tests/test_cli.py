@@ -224,6 +224,23 @@ class TestBadDistributions:
         assert run_cli(command.split(), data, entry) == (code, "", f"hamrec: error: {message}\n")
 
 
+def _fail_second_write(monkeypatch) -> list:
+    """Make the second file that ``core`` opens for writing fail with ENOSPC;
+    returns the list of the files opened for writing."""
+    writes = []
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            writes.append(file)
+            if len(writes) == 2:
+                os.close(file)
+                raise OSError(errno.ENOSPC, "No space left on device")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(hamrec.core, "open", failing_open, raising=False)
+    return writes
+
+
 class TestReconstructCommand:
     def test_writes_normalized_output_and_report(self, tmp_path, counts_file, capsys):
         out = tmp_path / "dist.json"
@@ -359,17 +376,7 @@ class TestReconstructCommand:
             out.write_text("old output\n")
             report.write_text("old report\n")
         before = {p.name: p.read_text() for p in tmp_path.iterdir()}
-        writes = []
-
-        def failing_open(file, mode="r", *args, **kwargs):
-            if "w" in mode:
-                writes.append(file)
-                if len(writes) == 2:
-                    os.close(file)
-                    raise OSError(errno.ENOSPC, "No space left on device")
-            return open(file, mode, *args, **kwargs)
-
-        monkeypatch.setattr(hamrec.core, "open", failing_open, raising=False)
+        writes = _fail_second_write(monkeypatch)
         code = main(
             ["reconstruct", "--input", str(counts_file), "--output", str(out),
              "--report", str(report)]
@@ -378,6 +385,36 @@ class TestReconstructCommand:
         assert len(writes) == 2
         assert "No space left" in capsys.readouterr().err
         assert {p.name: p.read_text() for p in tmp_path.iterdir()} == before
+
+
+class TestOutputs:
+    """One writer, core.write_files, for files and stdout alike."""
+
+    def test_stdout_is_written_after_every_file(self, tmp_path, capsys, monkeypatch):
+        # "-" comes first in the map, and is still written last.
+        monkeypatch.chdir(tmp_path)
+        texts = {"-": "to stdout\n", "a.json": "a\n", "b.json": "b\n"}
+        hamrec.core.write_files(texts)
+        assert capsys.readouterr().out == "to stdout\n"
+        assert _files(tmp_path) == {"a.json": b"a\n", "b.json": b"b\n"}
+        writes = _fail_second_write(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            hamrec.core.write_files({**texts, "a.json": "new a\n", "b.json": "new b\n"})
+        assert len(writes) == 2
+        assert capsys.readouterr().out == ""
+        assert _files(tmp_path) == {"a.json": b"a\n", "b.json": b"b\n"}
+
+    def test_dangling_output_link_fails_before_the_work(self, tmp_path, capsys, monkeypatch):
+        # The writer writes where a link resolves, so the check looks there too.
+        missing = pathlib.Path(os.path.realpath(tmp_path)) / "missing"
+        link = tmp_path / "out.json"
+        link.symlink_to(missing / "x.json")
+        monkeypatch.setattr("hamrec.synth.sample_noisy", lambda *a: pytest.fail("sampled"))
+        assert main(["synth", "--key", "0101", "--trials", "10", "--output", str(link)]) == 1
+        assert capsys.readouterr() == ("", f"hamrec: error: output directory does not exist: "
+                                           f"{missing}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert link.is_symlink() and not missing.exists()
 
 
 class TestSpectrumCommand:

@@ -379,6 +379,22 @@ class TestJsonInterchange:
         save_distribution(d, path)
         assert list(json.loads(path.read_text())) == ["00", "11"]
 
+    def test_save_to_dash_writes_stdout(self, tmp_path, monkeypatch, capsys):
+        # "-" is stdout for the writer, as it is stdin for load_distribution.
+        monkeypatch.chdir(tmp_path)
+        d = from_counts({"0101": 7, "1111": 1})
+        save_distribution(d, "-")
+        assert capsys.readouterr().out == distribution_to_json(d)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_to_a_closed_stdout_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with monkeypatch.context() as patch:  # undone before capsys restores sys.stdout
+            patch.setattr("sys.stdout", None)
+            with pytest.raises(UsageError, match="^stdout is closed$"):
+                save_distribution(from_counts({"01": 2}), "-")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPackedAgainstNumpyPopcount:
     def test_bitwise_count_dtype_assumption(self):

@@ -1,7 +1,9 @@
 """Every bitstring and every number that enters the library passes one
 gate, with the same checks and messages at every entry point.
 
-* A bitstring becomes a packed code through ``pack_outcomes``.
+* A bitstring becomes a packed code through ``pack_outcomes``, and a
+  reference set through ``core.reference_codes``: a collection of
+  bitstrings, never one ``str``.
 * An integer parameter goes through ``core._checked_integer``: an integer
   of any integer type, not ``bool``, at least the parameter's minimum, or
   "<name> must be an integer >= <minimum>, got <value>".
@@ -35,6 +37,7 @@ from hamrec import (
     ideal_bv,
     ist,
     max_neighbor_distance,
+    merit_report,
     min_distance_to_set,
     neighborhood_score,
     pst,
@@ -70,6 +73,30 @@ def test_reference_sets_are_deduplicated_as_codes():
     spectrum = build_spectrum(D, ["0111", "0110", "0111"])
     assert spectrum.reference == ("0110", "0111")
     assert pst(D, ["0111", "0111"]) == 0.25
+
+
+REFERENCE_USERS = {
+    "pst": lambda r: pst(D, r),
+    "ist": lambda r: ist(D, r),
+    "ehd": lambda r: ehd(D, r),
+    "build_spectrum": lambda r: build_spectrum(D, r),
+    "merit_report": lambda r: merit_report(D, r),
+    "min_distance_to_set": lambda r: min_distance_to_set("0110", r),
+}
+
+
+@pytest.mark.parametrize("bad", ["0110", None, 5], ids=["str", "none", "int"])
+@pytest.mark.parametrize("name", REFERENCE_USERS)
+def test_a_reference_set_is_a_collection_of_bitstrings(name, bad):
+    # A str would be read one character at a time, as outcomes of width 1.
+    with pytest.raises(UsageError) as exc:
+        REFERENCE_USERS[name](bad)
+    assert str(exc.value) == f"reference set must be a collection of bitstrings, got {bad!r}"
+
+
+def test_a_string_reference_is_rejected_at_width_one():
+    with pytest.raises(UsageError, match="reference set must be a collection"):
+        pst(Distribution(1, {"1": 3}), "10")
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -172,3 +199,17 @@ def test_an_integer_beyond_float_range_is_infinite(name):
 def test_real_parameters_accept_numpy_reals(name):
     for value in (np.float32(2.0), np.int64(2)):
         REALS[name][0](value)
+
+
+@pytest.mark.parametrize("bad", [None, 5])
+def test_cut_graph_edges_are_a_sequence(bad):
+    with pytest.raises(UsageError) as exc:
+        CutGraph(3, bad)
+    assert str(exc.value) == f"edges is not a sequence: {bad!r}"
+
+
+def test_a_width_beyond_float_range_gives_an_infinite_ehd():
+    assert uniform_ehd_closed_form(10**400) == math.inf
+    # Widths within float range keep their values: w / 2 once 2**(1 - w) underflows.
+    assert uniform_ehd_closed_form(2**1023) == 2.0**1022
+    assert uniform_ehd_closed_form(10**300) == float(10**300) / 2
