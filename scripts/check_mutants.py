@@ -88,7 +88,7 @@ MUTANTS = [
     Mutant("M2", "src/hamrec/analysis.py", "    counts[own] = 0\n", "",
            PAIR_TESTS, "the tie-group path counts a row's own tie group as lighter"),
     Mutant("M3", "src/hamrec/analysis.py",
-           "(group[:stop] * (width + 1))", "(group[:stop] * n_bins)",
+           "(group[:stop] * span)", "(group[:stop] * k)",
            PAIR_TESTS, "the tie-group keys of neighbouring groups overlap"),
     Mutant("M4", "src/hamrec/analysis.py",
            "np.arange(n) < gstart[:, None]", "np.arange(n) <= gstart[:, None]",
@@ -177,6 +177,14 @@ MUTANTS = [
            'for path, text in ((p, t) for p, t in texts.items() if p != "-"):',
            "for path, text in texts.items():",
            ("tests/test_core.py",), 'write_files stages "-" as a file named -'),
+    # One distance-type rule: the narrowest type that holds the largest distance.
+    Mutant("M27", "src/hamrec/core.py",
+           "np.min_scalar_type(8 * a.dtype.itemsize * a.shape[1])", "np.uint8",
+           PAIR_TESTS, "pairwise_distances wraps distances of 256 and more to their low byte"),
+    Mutant("M28", "src/hamrec/analysis.py",
+           "    out = np.empty(size, dtype=np.min_scalar_type(span - 1))\n",
+           "    out = np.empty(size, dtype=np.uint8)\n",
+           PAIR_TESTS, "the row blocks wrap distances of 256 and more to their low byte"),
 ]
 
 

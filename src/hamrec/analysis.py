@@ -136,10 +136,13 @@ def chs_for_outcome(d: Distribution, x: str) -> ChsVector:
 class PairHistograms:
     """Everything the reconstruction needs from the outcome pairs.
 
-    ``chs`` is the aggregate CHS over all ordered pairs. ``lighter[i, d]``
-    is the mass of the outcomes strictly lighter than outcome ``i`` at
-    distance d < n/2, with rows in the caller's outcome order.
-    ``pairs_computed`` is the number of distances actually evaluated.
+    ``chs`` is the aggregate CHS over all ordered pairs, ceil(n/2) entries.
+    ``lighter[i, d]`` is the mass of the outcomes strictly lighter than
+    outcome ``i`` at distance d, with rows in the caller's outcome order and
+    ``k`` columns: the distances d < n/2 that some pair can reach (see
+    :func:`pair_histograms`), so ``chs`` is 0 from entry ``k`` on.
+    ``pairs_computed`` is the number of distances actually evaluated for
+    the histograms; the N of the row that finds that bound are not counted.
     """
 
     chs: np.ndarray
@@ -154,8 +157,16 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     does not depend on anything but the caller's order), which turns
     "strictly lighter" into "before the row's tie group" ``gstart[i]``.
 
+    No pair is farther apart than the width, nor, by the triangle
+    inequality, than twice the largest distance ``r`` from the lightest
+    outcome. So a distance takes one of ``span = min(width, 2r) + 1``
+    values, and every histogram, key and buffer below is sized by ``span``,
+    not by the width; ``lighter`` and the CHS sums keep the first
+    ``k = min(ceil(n/2), span)`` distances. Finding ``r`` costs one
+    distance row of N outcomes.
+
     * A support of fewer than ``PAIR_BLOCK_ELEMENTS`` pairs computes the
-      whole N x N square at once and keys it ``dist + row * (width + 1)``.
+      whole N x N square at once and keys it ``dist + row * span``.
       One unweighted bincount of the keys gives each row's pair counts, so
       the CHS is ``p @ counts`` (distance is symmetric), and one of only
       the keys of the columns before ``gstart[i]``, weighted by ``p``,
@@ -171,7 +182,7 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
         mass p_j = p_i is not in the lighter histogram.
       - by (tie group, distance), when the block's columns hold so few tie
         groups that this histogram is at most half a row
-        (``groups * (width + 1) <= stop // 2``), as in counts inputs where
+        (``groups * span <= stop // 2``), as in counts inputs where
         most outcomes share a count. Within a group the weight is one
         constant, so one unweighted bincount per row gives both the pair
         counts and, times the groups' probabilities, the lighter masses;
@@ -184,31 +195,32 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     Codes of width <= 32 fill only the top half of their one word, so after
     the sort they are narrowed once to uint32 lanes, which halves the XOR
     traffic; the distances, and so the results, are the same. The row
-    blocks reuse one lane-typed XOR scratch and one distance buffer (uint8
-    up to width 255, uint16 above) at every width, and the column path
+    blocks reuse one lane-typed XOR scratch and one distance buffer, of the
+    narrowest unsigned type that holds ``span - 1``, and the column path
     copies each row's columns ``[:i]`` once into an intp buffer that all of
     its bincounts read, instead of each bincount converting the distance
     row again.
     """
-    n_bins = chs_length(width)
     n = codes.shape[0]
     order = np.argsort(probs, kind="stable")
     p = probs[order]
     c = codes[order] if width > 32 else (codes[order] >> 32).astype(np.uint32)
+    # span - 1 bounds every pair's distance (the triangle inequality, see above).
+    span = min(width, 2 * int(pairwise_distances(c[:1], c).max())) + 1
+    k = min(chs_length(width), span)
     gstart = np.searchsorted(p, p, side="left")
-    lighter = np.empty((n, n_bins))
+    lighter = np.empty((n, k))
+    chs = np.zeros(chs_length(width))
     if n * n < PAIR_BLOCK_ELEMENTS:
-        size = n * (width + 1)
-        keys = np.add(pairwise_distances(c, c), np.arange(0, size, width + 1)[:, None],
-                      dtype=np.intp)
-        counts = np.bincount(keys.ravel(), minlength=size).reshape(n, width + 1)
-        chs = p @ counts[:, :n_bins]
+        size = n * span
+        keys = np.add(pairwise_distances(c, c), np.arange(0, size, span)[:, None], dtype=np.intp)
+        counts = np.bincount(keys.ravel(), minlength=size).reshape(n, span)
+        chs[:k] = p @ counts[:, :k]
         is_lighter = np.arange(n) < gstart[:, None]
         light = np.bincount(keys[is_lighter], weights=np.broadcast_to(p, (n, n))[is_lighter],
                             minlength=size)
-        lighter[order] = light.reshape(n, width + 1)[:, :n_bins]  # back in the caller's order
+        lighter[order] = light.reshape(n, span)[:, :k]  # back in the caller's order
         return PairHistograms(chs=chs, lighter=lighter, pairs_computed=n * n)
-    chs = np.zeros(n_bins)
     chs[0] = p.sum()  # the diagonal pairs
     # A tie group starts at each column whose probability differs from the
     # one before. The group numbers and probabilities are built at the first
@@ -222,7 +234,7 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
     # each time.
     size = max(PAIR_BLOCK_ELEMENTS, n)
     scratch = np.empty(size, dtype=c.dtype)
-    out = np.empty(size, dtype=np.uint8 if width <= 255 else np.uint16)
+    out = np.empty(size, dtype=np.min_scalar_type(span - 1))
     row = np.empty(n, dtype=np.intp)
     while start < n:
         # The largest stop with rows x columns = (stop - start) * stop
@@ -234,50 +246,50 @@ def pair_histograms(codes: np.ndarray, probs: np.ndarray, width: int) -> PairHis
         dist = pairwise_distances(c[start:stop], c[:stop], scratch[:block], out[:block])
         pairs += dist.size
         groups = 1 + np.count_nonzero(new_group[:stop - 1])
-        if groups * (width + 1) <= stop // 2:
+        if groups * span <= stop // 2:
             if group is None:
                 group = np.concatenate(([0], np.cumsum(new_group)))
                 p_group = p[np.concatenate(([True], new_group))]
-            light, near = _bin_by_tie_group(dist, start, group, p_group[:groups], width, scratch)
+            light, near = _bin_by_tie_group(dist, start, group, p_group[:groups], span, k, scratch)
         else:
-            light = np.empty((rows, n_bins))
-            near = np.empty((rows, width + 1), dtype=np.intp)
+            light = np.empty((rows, k))
+            near = np.empty((rows, span), dtype=np.intp)
             for r, g in enumerate(gstart[start:stop].tolist()):
                 i = start + r
                 row[:i] = dist[r, :i]
-                light[r] = np.bincount(row[:g], weights=p[:g], minlength=width + 1)[:n_bins]
-                near[r] = np.bincount(row[:g], minlength=width + 1)
+                light[r] = np.bincount(row[:g], weights=p[:g], minlength=span)[:k]
+                near[r] = np.bincount(row[:g], minlength=span)
                 if g < i:
-                    near[r] += 2 * np.bincount(row[g:i], minlength=width + 1)
-        chs += light.sum(axis=0) + p[start:stop] @ near[:, :n_bins]
+                    near[r] += 2 * np.bincount(row[g:i], minlength=span)
+        chs[:k] += light.sum(axis=0) + p[start:stop] @ near[:, :k]
         lighter[order[start:stop]] = light  # back in the caller's order
         start = stop
     return PairHistograms(chs=chs, lighter=lighter, pairs_computed=pairs)
 
 
-def _bin_by_tie_group(dist, start, group, p_group, width, scratch):
+def _bin_by_tie_group(dist, start, group, p_group, span, k, scratch):
     """``(light, near)`` of a row block whose columns hold few tie groups.
 
     Row r of ``dist`` is outcome ``start + r``; its columns before the
-    diagonal are keyed by (tie group, distance) and counted with one
-    unweighted bincount. The keys overwrite ``scratch``, which holds
-    nothing live once ``dist`` is computed; the keys take at most
-    ``stop // 2`` values, so their type is no wider than a uint32 lane.
+    diagonal are keyed ``group * span + dist`` and counted with one
+    unweighted bincount, of which the first ``k`` distances are kept. The
+    keys overwrite ``scratch``, which holds nothing live once ``dist`` is
+    computed; the keys take at most ``stop // 2`` values, so their type is
+    no wider than a uint32 lane.
     ``near`` counts a lighter column once and a tie twice. ``light``
     weights the lighter groups' counts by their probability after the
     row's own group is zeroed: taking the ties back out of a sum would lose
     the lighter mass when ties dominate it.
     """
     rows, stop = dist.shape
-    n_bins = chs_length(width)
-    size = p_group.size * (width + 1)
+    size = p_group.size * span
     key_type = np.min_scalar_type(size - 1)
     keys = scratch.view(key_type)[:dist.size].reshape(rows, stop)
-    np.add(dist, (group[:stop] * (width + 1)).astype(key_type), out=keys, dtype=key_type)
+    np.add(dist, (group[:stop] * span).astype(key_type), out=keys, dtype=key_type)
     counts = np.empty((rows, size), dtype=np.intp)
     for r, row in enumerate(keys):
         counts[r] = np.bincount(row[:start + r], minlength=size)
-    counts = counts.reshape(rows, p_group.size, width + 1)[:, :, :n_bins]
+    counts = counts.reshape(rows, p_group.size, span)[:, :, :k]
     own = (np.arange(rows), group[start:start + rows])
     near = counts.sum(axis=1) + counts[own]
     counts[own] = 0

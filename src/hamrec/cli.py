@@ -39,8 +39,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _ensure_writable(*paths: str | None) -> None:
     """Each output path of one command (None: no such output) is non-empty,
-    writable as given and where it resolves to (where write_files writes),
-    and a different file; stdout ("-") counts as one file and must be open."""
+    writable in a writable directory as given and where it resolves to (where
+    write_files stages and writes), and a different file; stdout ("-") counts
+    as one file and must be open."""
     paths = [p for p in paths if p is not None]
     if "" in paths:
         raise UsageError("output path must not be empty")
@@ -53,10 +54,9 @@ def _ensure_writable(*paths: str | None) -> None:
         parent = os.path.dirname(path) or "."
         if not os.path.isdir(parent):
             raise UsageError(f"output directory does not exist: {parent}")
-        if os.path.exists(path):
-            if not os.path.isfile(path) or not os.access(path, os.W_OK):
-                raise UsageError(f"output path not writable: {path}")
-        elif not os.access(parent, os.W_OK):
+        if os.path.exists(path) and not (os.path.isfile(path) and os.access(path, os.W_OK)):
+            raise UsageError(f"output path not writable: {path}")
+        if not os.access(parent, os.W_OK):
             raise UsageError(f"output directory not writable: {parent}")
 
 

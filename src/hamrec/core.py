@@ -344,10 +344,10 @@ as_probabilities = normalize
 
 
 def reference_codes(reference, width: int) -> np.ndarray:
-    """A non-empty collection of width-n bitstrings (not one ``str``) as
-    packed rows, deduplicated and in ascending order: the one door for a
-    reference set."""
-    if isinstance(reference, str) or not isinstance(reference, Iterable):
+    """A non-empty collection of width-n bitstrings (not one ``str``,
+    ``bytes`` or ``bytearray``) as packed rows, deduplicated and in
+    ascending order: the one door for a reference set."""
+    if isinstance(reference, (str, bytes, bytearray)) or not isinstance(reference, Iterable):
         raise UsageError(f"reference set must be a collection of bitstrings, got {reference!r}")
     codes = pack_outcomes(reference, width)
     if not len(codes):
@@ -418,15 +418,15 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray, scratch: np.ndarray | None 
     codes narrowed to a smaller lane (such as ``codes >> 32`` as uint32 for
     width <= 32). ``scratch``, an array of that dtype with len(a) * len(b)
     elements, takes the XOR of each word. ``out``, an unsigned array of as
-    many elements wide enough for the largest distance (uint8 up to width
-    255, uint16 above), takes the distances and is returned reshaped.
-    Without them each call allocates its own, uint8 for rows of up to
-    three words.
+    many elements of a type that holds the largest distance, takes the
+    distances and is returned reshaped. Without them each call allocates
+    its own, the distances in the narrowest unsigned type that holds the
+    number of bits in a row, so that no distance wraps.
     """
     shape = (a.shape[0], b.shape[0])
     xor = np.empty(shape, dtype=a.dtype) if scratch is None else scratch.reshape(shape)
     if out is None:
-        out = np.empty(shape, dtype=np.uint8 if a.shape[1] < 4 else np.uint16)
+        out = np.empty(shape, dtype=np.min_scalar_type(8 * a.dtype.itemsize * a.shape[1]))
     dist = out.reshape(shape)
     count = None
     for w in range(a.shape[1]):

@@ -140,7 +140,8 @@ def hammer(d_in: Distribution) -> ReconstructionReport:
 
     # Each score term W[d] * lighter[i, d] as lighter[i, d] / CHS[d], which
     # cannot overflow (lighter[i, d] <= CHS[d]) where W[d] may be inf.
-    terms = np.divide(pairs.lighter, pairs.chs, out=pairs.lighter, where=pairs.chs > 0)
+    chs_k = pairs.chs[:pairs.lighter.shape[1]]  # the distances a pair can reach
+    terms = np.divide(pairs.lighter, chs_k, out=pairs.lighter, where=chs_k > 0)
     scores = probs + terms.sum(axis=1)
     raw = scores * probs
     out_probs = np.maximum(raw / raw.sum(), math.ulp(0.0))  # the smallest subnormal

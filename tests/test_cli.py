@@ -416,6 +416,32 @@ class TestOutputs:
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
         assert link.is_symlink() and not missing.exists()
 
+    @pytest.mark.parametrize("through_link", [False, True], ids=["direct", "link"])
+    def test_existing_output_in_unwritable_directory_fails_before_the_work(
+            self, tmp_path, capsys, monkeypatch, through_link):
+        # The writer stages its temporary file beside where the output
+        # resolves, so that directory must be writable even when the file is.
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        (locked / "out.json").write_text("old\n")
+        output = locked / "out.json"
+        if through_link:
+            output = tmp_path / "link.json"
+            output.symlink_to(locked / "out.json")
+        before = {p.relative_to(tmp_path): p.read_bytes()
+                  for p in tmp_path.rglob("*") if p.is_file()}
+        denied, access = os.path.realpath(locked), os.access
+        monkeypatch.setattr("hamrec.cli.os.access",
+                            lambda path, mode: os.path.realpath(path) != denied
+                            and access(path, mode))
+        monkeypatch.setattr("hamrec.synth.sample_noisy", lambda *a: pytest.fail("sampled"))
+        assert main(["synth", "--key", "0101", "--trials", "10", "--output", str(output)]) == 1
+        shown = denied if through_link else locked
+        assert capsys.readouterr() == ("", f"hamrec: error: output directory not writable: "
+                                           f"{shown}\n")
+        assert {p.relative_to(tmp_path): p.read_bytes()
+                for p in tmp_path.rglob("*") if p.is_file()} == before
+
 
 class TestSpectrumCommand:
     def test_json_payload(self, counts_file, capsys):

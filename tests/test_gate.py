@@ -85,10 +85,12 @@ REFERENCE_USERS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["0110", None, 5], ids=["str", "none", "int"])
+@pytest.mark.parametrize("bad", ["0110", None, 5, b"0110", bytearray(b"0110")],
+                         ids=["str", "none", "int", "bytes", "bytearray"])
 @pytest.mark.parametrize("name", REFERENCE_USERS)
 def test_a_reference_set_is_a_collection_of_bitstrings(name, bad):
-    # A str would be read one character at a time, as outcomes of width 1.
+    # A str would be read one character at a time, as outcomes of width 1,
+    # and bytes one integer at a time.
     with pytest.raises(UsageError) as exc:
         REFERENCE_USERS[name](bad)
     assert str(exc.value) == f"reference set must be a collection of bitstrings, got {bad!r}"

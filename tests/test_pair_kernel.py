@@ -13,7 +13,8 @@ the codes, the ties and every sum. Each property runs over the whole
 generator and again over the slices of it that hold the hard cases:
 small budgets, the lane widths, tie groups with a heavy tail, and pinned
 budgets for the equivariance. The deterministic tests pin the boundaries
-between the paths.
+between the paths, and the distance types and memory at widths of 193 to
+65536 bits.
 """
 
 import contextlib
@@ -30,12 +31,16 @@ from hypothesis import strategies as st
 import hamrec.analysis
 from hamrec import (
     Distribution,
+    NoiseModel,
     ParseError,
     UsageError,
     from_counts,
     global_chs,
+    hamming_distance,
     hammer,
+    ideal_bv,
     normalize,
+    sample_noisy,
 )
 from hamrec.cli import main
 from hamrec.analysis import pair_histograms
@@ -181,6 +186,58 @@ def test_lane_boundary_widths_match_oracles(budget, case):
 def test_multi_word_square_matches_oracles():
     # Two uint64 words a code; the default budget bins the 200 outcomes as one square.
     assert_matches_oracles(make_support(70, 200, "tied", levels=3, seed=70))
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 1])
+@pytest.mark.parametrize("width", [193, 255, 256, 257, 1024])
+def test_wide_lanes_match_oracles(width, budget):
+    # Widths of 256 bits and more need distances wider than uint8: under the
+    # default budget the square path holds them, under a budget of 1 the row
+    # blocks' buffer. The complement of the first outcome puts one pair at
+    # the full distance, the width.
+    case = make_support(width, 40, "tied", levels=3, seed=width, budget=budget)
+    first = next(iter(case.entries))
+    complement = first.translate(str.maketrans("01", "10"))
+    assert_matches_oracles(case._replace(entries={**case.entries, complement: 7}))
+
+
+def test_distances_beyond_uint16():
+    zeros, ones = "0" * 65536, "1" * 65536
+    assert hamming_distance(zeros, ones) == 65536
+    chs = global_chs(Distribution(65536, {zeros: 1, ones: 1})).values
+    assert chs[0] == 1.0 and not chs[1:].any()
+
+
+def test_lighter_keeps_only_the_reachable_distances():
+    # Every outcome lies within r of the lightest one, so no pair is
+    # farther apart than 2r and lighter needs no more columns than 2r + 1.
+    width, r = 1024, 5
+    rng = np.random.default_rng(width)
+    center = rng.integers(0, 2, width)
+    entries = {"".join(map(str, center)): 1}
+    while len(entries) < 600:
+        bits = center.copy()
+        bits[rng.choice(width, rng.integers(1, r + 1), replace=False)] ^= 1
+        entries["".join(map(str, bits))] = int(rng.integers(2, 50))
+    p = normalize(Distribution(width, entries))
+    pairs = pair_histograms(p.codes, p.weights, width)
+    assert pairs.lighter.shape == (600, 2 * r + 1)
+    assert pairs.chs.shape == (width // 2,) and not pairs.chs[2 * r + 1:].any()
+
+
+def test_wide_hammer_allocates_little():
+    # At 1024 bits lighter holds only the columns a pair can reach, not
+    # ceil(1024 / 2) = 512 of them.
+    key = "".join(np.random.default_rng(1024).choice(["0", "1"], 1024))
+    d = sample_noisy(ideal_bv(key), NoiseModel(1 / 1024, (), 1), 4096)
+    assert len(d) == 1911
+    tracemalloc.start()
+    try:
+        hammer(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 MASKS = st.just(-1) | st.integers(min_value=0, max_value=2 ** 130 - 1)
@@ -417,3 +474,4 @@ def test_pass_allocates_little_beyond_lighter():
     finally:
         tracemalloc.stop()
     assert peak <= n * 12 * 8 + 2e6
+
