@@ -56,7 +56,8 @@ METRICS_FLAG_CHECKS = (
 )
 METRICS_READS = (
     "    correct = _correct_set(args.correct)\n"
-    "    reference = load_distribution(args.reference) if args.reference else None\n"
+    "    paths = (args.input, args.reference, args.before, args.after)  # read in flag order\n"
+    "    d, reference, before, after = (load_distribution(p) if p else None for p in paths)\n"
 )
 
 # The --cmin check of cli._cmd_qaoa and the two reads it comes before.
@@ -128,7 +129,7 @@ MUTANTS = [
            ("tests/test_qaoa.py",), "cost_ratio brute-forces C_min before the width check"),
     Mutant("M14", "src/hamrec/cli.py", METRICS_FLAG_CHECKS + METRICS_READS,
            METRICS_READS + METRICS_FLAG_CHECKS,
-           ("tests/test_cli.py",), "metrics reads --reference before it checks its flags"),
+           ("tests/test_cli.py",), "metrics reads its inputs before it checks its flags"),
     Mutant("M15", "src/hamrec/cli.py", QAOA_CMIN_CHECK + QAOA_READS, QAOA_READS_FIRST,
            ("tests/test_cli.py",), "qaoa reads --graph and --counts before it checks --cmin"),
     # One cost pass, one C_min search.
@@ -161,15 +162,16 @@ MUTANTS = [
            ("tests/test_gate.py",), "an integer beyond float range raises a bare OverflowError"),
     # A call loads only its command's modules, and only the process freezes (src/hamrec/cli.py).
     Mutant("M23", "src/hamrec/cli.py",
-           "from . import ParseError, UsageError, __version__\n",
-           "from . import ParseError, UsageError, __version__\nfrom .reconstruct import hammer\n",
+           "from . import ParseError, UsageError, __version__, _check_outputs\n",
+           "from . import ParseError, UsageError, __version__, _check_outputs\n"
+           "from .reconstruct import hammer\n",
            LOADING_TESTS, "every call, a usage error included, loads numpy and hammer's modules"),
     Mutant("M24", "src/hamrec/cli.py",
            "    gc.freeze()\n    raise SystemExit(code)\n\n\ndef main(argv=None) -> int:\n    try:\n",
            "    raise SystemExit(code)\n\n\ndef main(argv=None) -> int:\n    gc.freeze()\n    try:\n",
            LOADING_TESTS, "an in-process cli.main freezes its caller's heap"),
     # One writer for files and stdout, and the output check looks where it writes.
-    Mutant("M25", "src/hamrec/cli.py",
+    Mutant("M25", "src/hamrec/__init__.py",
            'for path in (p for p in paths + targets if p != "-"):',
            'for path in (p for p in paths if p != "-"):',
            ("tests/test_cli.py",), "a dangling output link passes the check and the work runs"),
@@ -185,6 +187,14 @@ MUTANTS = [
            "    out = np.empty(size, dtype=np.min_scalar_type(span - 1))\n",
            "    out = np.empty(size, dtype=np.uint8)\n",
            PAIR_TESTS, "the row blocks wrap distances of 256 and more to their low byte"),
+    # One file boundary: every write checks its outputs, and stdin is read at most once.
+    Mutant("M29", "src/hamrec/core.py", "    _check_outputs(*texts)\n", "",
+           ("tests/test_core.py",), "save_distribution stages a file for a path the CLI refuses"),
+    Mutant("M30", "src/hamrec/cli.py",
+           "        if len(stdin) > 1:\n"
+           '            raise UsageError(f"only one input can be read from stdin: '
+           """{', '.join(stdin)}")\n""",
+           "", ("tests/test_cli.py",), "a second stdin input reads nothing and is a data error"),
 ]
 
 

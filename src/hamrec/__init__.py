@@ -9,9 +9,13 @@ end-to-end validation without hardware.
 
 Importing the package loads no submodule and not numpy: each public name
 below is imported from its module on first use (PEP 562), so a command
-line call pays only for the modules its command needs.
+line call pays only for the modules its command needs. Beside that table
+sits what the CLI needs before any work, without numpy: the two error types
+and ``_check_outputs``, the output-path rules that guard every write.
 """
 
+import os
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -23,6 +27,29 @@ class UsageError(ValueError):
 
 class ParseError(ValueError):
     """Input data (counts/probability/graph files) is malformed."""
+
+
+def _check_outputs(*paths) -> None:
+    """Each output path of one write (None: no such output) is non-empty,
+    writable in a writable directory as given and where it resolves to (where
+    write_files stages and writes), and a different file; stdout ("-") counts
+    as one file and must be open."""
+    paths = [p for p in paths if p is not None]
+    if "" in paths:
+        raise UsageError("output path must not be empty")
+    if "-" in paths and sys.stdout is None:
+        raise UsageError("stdout is closed")
+    targets = [p if p == "-" else os.path.realpath(p) for p in paths]
+    if len(set(targets)) < len(targets):
+        raise UsageError(f"output paths name the same file: {', '.join(map(os.fspath, paths))}")
+    for path in (p for p in paths + targets if p != "-"):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise UsageError(f"output directory does not exist: {parent}")
+        if os.path.exists(path) and not (os.path.isfile(path) and os.access(path, os.W_OK)):
+            raise UsageError(f"output path not writable: {path}")
+        if not os.access(parent, os.W_OK):
+            raise UsageError(f"output directory not writable: {parent}")
 
 
 # Public name -> the submodule that defines it.

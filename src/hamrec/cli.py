@@ -6,11 +6,15 @@ Conventions shared by every subcommand:
   (all-integer values) or probabilities (any float present, must sum to 1);
 * ``-`` as an input or output path means stdin/stdout, so stages pipe;
 * exit codes: 0 success, 1 usage error or out of memory, 2 data/parse error;
-* inputs and flags are validated fully before any output file is written,
-  a command's output paths (stdout counted as one) must name different
-  files, and a subcommand only returns its ``{path: text}`` outputs:
-  :func:`main` writes them with :func:`~hamrec.core.write_files`, once all
-  are computed, so a failed write leaves no file changed and stdout empty;
+* a call checks, in this order: argparse's flags; the output paths
+  (``hamrec._check_outputs``: non-empty, in writable directories, and
+  different files, stdout counted as one); that at most one input flag
+  names stdin; the command's own flag checks (``metrics``' flag
+  combination, ``qaoa``'s ``--cmin``); then it reads its inputs in flag
+  order and does the work;
+* a subcommand only returns its ``{path: text}`` outputs: :func:`main`
+  writes them with :func:`~hamrec.core.write_files`, once all are
+  computed, so a failed write leaves no file changed and stdout empty;
 * a subcommand imports the library modules it uses when it runs, so a
   call loads only its own command's modules, and a usage error no numpy.
 """
@@ -21,11 +25,10 @@ import argparse
 import gc
 import json
 import math
-import os
 import sys
 import time
 
-from . import ParseError, UsageError, __version__
+from . import ParseError, UsageError, __version__, _check_outputs
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,29 +38,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
-
-
-def _ensure_writable(*paths: str | None) -> None:
-    """Each output path of one command (None: no such output) is non-empty,
-    writable in a writable directory as given and where it resolves to (where
-    write_files stages and writes), and a different file; stdout ("-") counts
-    as one file and must be open."""
-    paths = [p for p in paths if p is not None]
-    if "" in paths:
-        raise UsageError("output path must not be empty")
-    if "-" in paths and sys.stdout is None:
-        raise UsageError("stdout is closed")
-    targets = [p if p == "-" else os.path.realpath(p) for p in paths]
-    if len(set(targets)) < len(targets):
-        raise UsageError(f"output paths name the same file: {', '.join(paths)}")
-    for path in (p for p in paths + targets if p != "-"):
-        parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
-            raise UsageError(f"output directory does not exist: {parent}")
-        if os.path.exists(path) and not (os.path.isfile(path) and os.access(path, os.W_OK)):
-            raise UsageError(f"output path not writable: {path}")
-        if not os.access(parent, os.W_OK):
-            raise UsageError(f"output directory not writable: {parent}")
 
 
 def _json_text(obj) -> str:
@@ -140,12 +120,11 @@ def _cmd_metrics(args) -> dict[str, str]:
     elif not args.input:
         raise UsageError("metrics needs --input, or --before and --after")
     correct = _correct_set(args.correct)
-    reference = load_distribution(args.reference) if args.reference else None
-    if args.input:
-        report = merit_report(load_distribution(args.input), correct, reference)
-        return {args.output: _json_text(report.to_json_obj())}
-    before = merit_report(load_distribution(args.before), correct, reference)
-    after = merit_report(load_distribution(args.after), correct, reference)
+    paths = (args.input, args.reference, args.before, args.after)  # read in flag order
+    d, reference, before, after = (load_distribution(p) if p else None for p in paths)
+    if d is not None:
+        return {args.output: _json_text(merit_report(d, correct, reference).to_json_obj())}
+    before, after = (merit_report(x, correct, reference) for x in (before, after))
     obj = {
         "before": before.to_json_obj(),
         "after": after.to_json_obj(),
@@ -179,6 +158,10 @@ def _cmd_synth(args) -> dict[str, str]:
     counts = sample_noisy(ideal_bv(args.key), model, args.trials)
     _progress(args, f"sampled {args.trials} trials onto {len(counts)} outcomes")
     return {args.output: distribution_to_json(counts)}
+
+
+# The flags that name an input file, in parser order; at most one of them may be "-" (stdin).
+_INPUTS = ("input", "reference", "before", "after", "graph", "counts")
 
 
 def _build_parser() -> _Parser:
@@ -254,7 +237,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "run" not in args:
             parser.error("a subcommand is required")
-        _ensure_writable(args.output, getattr(args, "report", None))
+        _check_outputs(args.output, getattr(args, "report", None))
+        stdin = [f"--{name}" for name in _INPUTS if getattr(args, name, None) == "-"]
+        if len(stdin) > 1:
+            raise UsageError(f"only one input can be read from stdin: {', '.join(stdin)}")
         outputs = args.run(args)
         from .core import write_files
 

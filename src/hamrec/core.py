@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ParseError, UsageError
+from . import ParseError, UsageError, _check_outputs
 
 PROB_SUM_TOL = 1e-9
 
@@ -483,7 +483,8 @@ def _unique_keys(pairs: list) -> dict:
 def read_json(path, parse):
     """``parse`` of the JSON file at ``path``, ``"-"`` meaning standard input.
 
-    A file and stdin alike are decoded as strict UTF-8. Invalid JSON, an
+    A file and stdin alike are read as bytes and decoded as strict UTF-8,
+    so the same bytes give the same result or message. Invalid JSON, an
     object that repeats a key, and the errors of ``parse`` raise
     :class:`ParseError` prefixed with the path, or with ``stdin``; a closed
     stdin is a :class:`UsageError`.
@@ -491,13 +492,9 @@ def read_json(path, parse):
     name = "stdin" if path == "-" else path
     if path == "-" and sys.stdin is None:
         raise UsageError("stdin is closed")
-    try:
-        if path == "-":  # the bytes beneath, whatever the locale's decoding
-            text = sys.stdin.buffer.read().decode("utf-8")
-            obj = json.loads(text, object_pairs_hook=_unique_keys)
-        else:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh, object_pairs_hook=_unique_keys)
+    try:  # the bytes, whatever the locale's decoding
+        with contextlib.nullcontext(sys.stdin.buffer) if path == "-" else open(path, "rb") as fh:
+            obj = json.loads(fh.read().decode("utf-8"), object_pairs_hook=_unique_keys)
         return parse(obj)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{name}: invalid JSON: {exc}") from None
@@ -522,7 +519,8 @@ def distribution_to_json(d: Distribution) -> str:
 
 def write_files(texts: Mapping) -> None:
     """Write each ``{path: text}`` item as UTF-8, replacing whole files;
-    ``"-"`` is stdout, written last, and a UsageError first if it is closed.
+    ``"-"`` is stdout, written last. A path that breaks an output rule (see
+    ``hamrec._check_outputs``) is a UsageError before anything is staged.
 
     Every file's text first goes to a new hidden file beside its target, and
     the targets are replaced with ``os.replace`` only once all of those are
@@ -530,8 +528,7 @@ def write_files(texts: Mapping) -> None:
     stdout empty, and the temporary files it made are removed. A symlinked
     target is written through its link; a replaced file gets default permissions.
     """
-    if "-" in texts and sys.stdout is None:
-        raise UsageError("stdout is closed")
+    _check_outputs(*texts)
     staged = []
     try:
         for path, text in ((p, t) for p, t in texts.items() if p != "-"):

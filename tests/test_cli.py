@@ -106,8 +106,16 @@ USAGE_ROWS = _through_main_and_python_m([
     ("qaoa-cmin-before-files", "qaoa --graph missing.json --counts missing.json --cmin nan",
      "C_min must be finite and non-zero for a cost ratio, got nan (an edgeless graph has C_min 0)",
      False),
+    ("metrics-before-and-after-from-stdin", "metrics --before - --after - --correct 1",
+     "only one input can be read from stdin: --before, --after", False),
 ]) + [
     # Through cli.main only: a python -m row pays a full interpreter start.
+    pytest.param("metrics --input - --reference - --correct 1",
+                 "only one input can be read from stdin: --input, --reference", False, "main",
+                 id="metrics-input-and-reference-from-stdin"),
+    pytest.param("qaoa --graph - --counts -",
+                 "only one input can be read from stdin: --graph, --counts", False, "main",
+                 id="qaoa-graph-and-counts-from-stdin"),
     pytest.param("synth --key 01 --trials 2305843009213693952 --output out.json",
                  "out of memory", False, "main", id="trials-beyond-any-array"),
 ]
@@ -132,6 +140,9 @@ BAD_INPUTS = [
     ("bool-weight", b'{"01": true}', "weight for outcome '01' is not a number: True"),
     ("string-weight", b'{"01": "1"}', "weight for outcome '01' is not a number: '1'"),
     ("not-json", b"not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    # A file is read as bytes, as stdin is: "\r\n" counts two characters in both.
+    ("crlf", b'{\r\n"01": 1,\r\n"10": x}',
+     "invalid JSON: Expecting value: line 3 column 7 (char 19)"),
     ("non-utf8", b'{"01": 1, "\xff": 2}',
      "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
 ]
@@ -158,6 +169,11 @@ BAD_INPUT_ROWS = [
     pytest.param(command, None, 1, "[Errno 2] No such file or directory: 'in.json'", "main",
                  id=f"missing-file-{reader}")
     for reader, command in FILE_READERS
+] + [
+    # Two faults: metrics reads its inputs in flag order, so --input's is the one reported.
+    pytest.param("metrics --input in.json --reference missing.json --correct 01", b"not json", 2,
+                 "in.json: invalid JSON: Expecting value: line 1 column 1 (char 0)", "main",
+                 id="metrics-input-read-before-reference"),
 ] + _through_main_and_python_m([
     (f"{name}-reconstruct-stdin", "reconstruct --input -", data, 2, f"stdin: {message}")
     for name, data, message in BAD_INPUTS
@@ -194,7 +210,7 @@ class TestTopLevel:
         ("sys.stdin", None, "reconstruct --input -", "stdin is closed"),
         ("sys.stdout", None, "synth --key 01", "stdout is closed"),
         # A process run as root writes past the mode bits: only a patch makes "." unwritable.
-        ("hamrec.cli.os.access", lambda path, mode: False, "synth --key 01 --output new.json",
+        ("os.access", lambda path, mode: False, "synth --key 01 --output new.json",
          "output directory not writable: ."),
     ], ids=["closed-stdin", "closed-stdout", "unwritable-directory"])
     def test_usage_errors_from_the_environment(self, run_cli, monkeypatch, target, value,
@@ -431,7 +447,7 @@ class TestOutputs:
         before = {p.relative_to(tmp_path): p.read_bytes()
                   for p in tmp_path.rglob("*") if p.is_file()}
         denied, access = os.path.realpath(locked), os.access
-        monkeypatch.setattr("hamrec.cli.os.access",
+        monkeypatch.setattr("os.access",
                             lambda path, mode: os.path.realpath(path) != denied
                             and access(path, mode))
         monkeypatch.setattr("hamrec.synth.sample_noisy", lambda *a: pytest.fail("sampled"))

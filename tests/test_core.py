@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import numbers
+import pathlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -49,6 +51,7 @@ from hamrec.core import (
     pack_outcomes,
     pairwise_distances,
     sort_rows,
+    write_files,
 )
 from conftest import random_distribution
 from oracles import hd
@@ -394,6 +397,32 @@ class TestJsonInterchange:
             with pytest.raises(UsageError, match="^stdout is closed$"):
                 save_distribution(from_counts({"01": 2}), "-")
         assert list(tmp_path.iterdir()) == []
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+class TestOutputRules:
+    # The library's writers refuse what the CLI refuses, with its messages,
+    # before they stage a file in the output's directory or its parent.
+    @pytest.mark.parametrize("write,message", [
+        (lambda: save_distribution(from_counts({"01": 2}), ""), "output path must not be empty"),
+        (lambda: save_distribution(from_counts({"01": 2}), "."), "output path not writable: ."),
+        (lambda: save_distribution(from_counts({"01": 2}), pathlib.Path("missing/x.json")),
+         "output directory does not exist: missing"),
+        (lambda: write_files({pathlib.Path("a.json"): "1\n", "./a.json": "2\n"}),
+         "output paths name the same file: a.json, ./a.json"),
+    ], ids=["empty", "directory", "missing-directory", "same-file"])
+    def test_writers_check_outputs_like_the_cli(self, tmp_path, monkeypatch, write, message):
+        work = tmp_path / "work"
+        work.mkdir()
+        (work / "keep.json").write_text("old\n")
+        monkeypatch.chdir(work)
+        before = _tree(tmp_path)
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            write()
+        assert _tree(tmp_path) == before
 
 
 class TestPackedAgainstNumpyPopcount:

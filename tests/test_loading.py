@@ -63,6 +63,8 @@ LOADED_ROWS = [
     ("usage-error", "bogus", 1, (), False),
     ("help", "--help", 0, (), False),
     ("version", "--version", 0, (), False),
+    # The output rules run before the work and without numpy, so they cannot live in core.
+    ("missing-output-directory", "synth --key 01 --output missing/x.json", 1, (), False),
     ("reconstruct", "reconstruct --input counts.json --output out.json --report report.json",
      0, ("analysis", "core", "reconstruct"), True),
     ("spectrum", "spectrum --input counts.json --correct 01", 0, ("analysis", "core"), True),
